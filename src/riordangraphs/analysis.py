@@ -486,8 +486,6 @@ def replay_witness(G: Graph, witness: dict) -> bool:
         return G.diameter() == witness["got"] > witness["bound"]
     if kind == "diameter-exact" or kind == "diameter":
         return G.diameter() == witness["got"] != witness["want"]
-    if kind == "pair-distance":
-        return G.distance(witness["u"], witness["v"]) == witness["got"] != witness["want"]
     if kind == "pairs-set":
         _, pairs = G.diameter_pairs()
         missing = set(map(tuple, witness["missing"]))

@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import analysis, search
-from .errors import DisconnectedError, RiordanError, ScaleError, UsageError
+from .errors import DisconnectedError, RiordanError, UsageError
 from .riordan import ASequence
 from .rgraph import (
     Graph,
@@ -110,7 +110,13 @@ def _cmd_metric(args) -> int:
     elif metric == "distance":
         if len(args.metric) != 3:
             raise UsageError("usage: metric ... distance U V")
-        d = G.distance(int(args.metric[1]), int(args.metric[2]))
+        try:
+            u, v = map(int, args.metric[1:])
+        except ValueError:
+            raise UsageError(
+                f"vertex labels must be integers, got {' '.join(args.metric[1:])}"
+            ) from None
+        d = G.distance(u, v)
         print("unreachable" if d is None else d)
     elif metric == "clique":
         print(G.max_clique_size(cap=args.clique_cap))
@@ -171,6 +177,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_scan(args) -> int:
     jobs = args.jobs
+    if jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {jobs}")
     if args.conjecture == "1":
         sequences = None
         a_len = args.alen
@@ -349,12 +357,6 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 2
     try:
         return args.func(args)
-    except ScaleError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except DisconnectedError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -364,7 +366,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send the interpreter's final flush to
+        # devnull so that it cannot fail again (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(2)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from .riordan import (
     io_pattern_extend,
     is_io_pattern,
     pascal_pair,
+    riordan_matrix,
 )
 
 __all__ = [
@@ -120,69 +121,49 @@ class Graph:
 
     # -- distances ---------------------------------------------------------
 
+    def _sweep(self, s: int) -> tuple[list[int], int]:
+        """BFS from 0-based vertex s: the frontier masks by distance, and
+        the mask of reached vertices.  Stops once every vertex is reached."""
+        rows = self.rows
+        full = (1 << self.n) - 1
+        seen = frontier = 1 << s
+        levels = [frontier]
+        while seen != full:
+            nxt = 0
+            m = frontier
+            while m:
+                low = m & -m
+                nxt |= rows[low.bit_length() - 1]
+                m ^= low
+            nxt &= ~seen
+            if not nxt:
+                break
+            seen |= nxt
+            levels.append(nxt)
+            frontier = nxt
+        return levels, seen
+
     def distances(self, source: int) -> DistanceReport:
         """BFS levels from `source`; unreachable vertices get None."""
-        s = self._check_vertex(source)
         dists: list[Optional[int]] = [None] * self.n
-        dists[s] = 0
-        seen = 1 << s
-        frontier = seen
-        d = 0
-        rows = self.rows
-        while frontier:
-            nxt = 0
-            for v in _iter_bits(frontier):
-                nxt |= rows[v]
-            nxt &= ~seen
-            d += 1
-            for v in _iter_bits(nxt):
+        for d, level in enumerate(self._sweep(self._check_vertex(source))[0]):
+            for v in _iter_bits(level):
                 dists[v] = d
-            seen |= nxt
-            frontier = nxt
         return DistanceReport(source, tuple(dists))
 
     def distance(self, u: int, v: int) -> Optional[int]:
         """Shortest-path hop count, or None when v is unreachable from u."""
         s = self._check_vertex(u)
-        t = self._check_vertex(v)
-        if s == t:
-            return 0
-        seen = 1 << s
-        frontier = seen
-        target = 1 << t
-        d = 0
-        rows = self.rows
-        while frontier:
-            nxt = 0
-            for w in _iter_bits(frontier):
-                nxt |= rows[w]
-            nxt &= ~seen
-            d += 1
-            if nxt & target:
+        target = 1 << self._check_vertex(v)
+        for d, level in enumerate(self._sweep(s)[0]):
+            if level & target:
                 return d
-            seen |= nxt
-            frontier = nxt
         return None
 
     def eccentricity(self, v: int) -> Optional[int]:
         """Greatest distance from v, or None when some vertex is unreachable."""
-        s = self._check_vertex(v)
-        full = (1 << self.n) - 1
-        seen = 1 << s
-        frontier = seen
-        d = 0
-        rows = self.rows
-        while seen != full:
-            nxt = 0
-            for w in _iter_bits(frontier):
-                nxt |= rows[w]
-            nxt &= ~seen
-            if not nxt:
-                return None
-            seen |= nxt
-            frontier = nxt
-            d += 1
-        return d
+        levels, seen = self._sweep(self._check_vertex(v))
+        return len(levels) - 1 if seen == (1 << self.n) - 1 else None
 
     def diameter(self) -> int:
         """Maximum distance over all vertex pairs; raises on disconnection."""
@@ -190,29 +171,28 @@ class Graph:
         for v in range(1, self.n + 1):
             ecc = self.eccentricity(v)
             if ecc is None:
-                missing = self._unreached_from(v)
-                raise DisconnectedError(v, missing)
+                raise DisconnectedError(v, self.distances(v).dists.index(None) + 1)
             if ecc > best:
                 best = ecc
         return best
 
-    def _unreached_from(self, v: int) -> int:
-        report = self.distances(v)
-        for u in range(1, self.n + 1):
-            if report.dists[u - 1] is None:
-                return u
-        raise AssertionError("graph reported disconnected but all vertices reached")
-
     def diameter_pairs(self) -> tuple[int, set[tuple[int, int]]]:
-        """Diameter together with every unordered pair realizing it."""
-        d = self.diameter()
-        pairs = set()
+        """Diameter together with every unordered pair realizing it.
+
+        Raises the same DisconnectedError as `diameter`."""
+        best = 0
+        pairs: set[tuple[int, int]] = set()
         for u in range(1, self.n + 1):
-            report = self.distances(u)
-            for v in range(u + 1, self.n + 1):
-                if report.dists[v - 1] == d:
-                    pairs.add((u, v))
-        return d, pairs
+            dists = self.distances(u).dists
+            if None in dists:
+                raise DisconnectedError(u, dists.index(None) + 1)
+            ecc = max(dists)
+            if ecc > best:
+                best = ecc
+                pairs = set()
+            if ecc == best:
+                pairs.update((u, v + 1) for v in range(u, self.n) if dists[v] == best)
+        return best, pairs
 
     # -- subgraphs and relabellings ---------------------------------------
 
@@ -370,33 +350,24 @@ class Graph:
         return f"{type(self).__name__}(n={self.n}, edges={self.edge_count()})"
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """How a Riordan graph was built: from a pair, or from an A-sequence."""
-
-    kind: str  # "pair" or "aseq"
-    pair: Optional[RiordanPair] = None
-    aseq: Optional[ASequence] = None
-
-
 class RiordanGraph(Graph):
-    """A Graph that remembers the Riordan data it was built from."""
+    """A Graph that remembers the Riordan pair or A-sequence it was built from."""
 
-    __slots__ = ("provenance",)
+    __slots__ = ("source",)
 
-    def __init__(self, n: int, rows: Sequence[int], provenance: Provenance):
+    def __init__(self, n: int, rows: Sequence[int], source: RiordanPair | ASequence):
         super().__init__(n, rows)
-        self.provenance = provenance
+        self.source = source
 
     def rebuild(self, m: int) -> "RiordanGraph":
-        """Same provenance at a different (not larger) order."""
-        if self.provenance.kind == "pair":
-            return build(self.provenance.pair, m)
-        return build_bell_aseq(self.provenance.aseq, m)
+        """Same source at a different (not larger) order."""
+        if isinstance(self.source, RiordanPair):
+            return build(self.source, m)
+        return build_bell_aseq(self.source, m)
 
     def is_io_decomposable_by_definition(self) -> bool:
         """Even vertices induce a null graph and odd vertices induce the
-        half-size graph of the same provenance (labels order-preserving)."""
+        half-size graph of the same source (labels order-preserving)."""
         n = self.n
         evens = list(range(2, n + 1, 2))
         if evens:
@@ -409,36 +380,28 @@ class RiordanGraph(Graph):
         return self.induced(odds).rows == half.rows
 
 
-def _symmetrized(n: int, below: list[int]) -> list[int]:
-    # `below[i]` holds row i's bits strictly below the diagonal
-    rows = list(below)
-    for i in range(n):
-        for j in _iter_bits(below[i]):
+def _from_triangle(
+    tri_rows: Sequence[int], source: RiordanPair | ASequence
+) -> RiordanGraph:
+    """Graph whose vertex i has triangle row i-2 as its neighbours j < i."""
+    rows = [0, *tri_rows]
+    for i, below in enumerate(tri_rows, start=1):
+        for j in _iter_bits(below):
             rows[j] |= 1 << i
-    return rows
+    return RiordanGraph(len(rows), rows, source)
 
 
 def build(pair: RiordanPair, n: int) -> RiordanGraph:
     """Riordan graph of order n: r(i, j) = [z^(i-2)] g f^(j-1) for i > j."""
     if n < 1:
         raise UsageError(f"graph order must be positive, got {n}")
-    if n > 1 and pair.precision < n - 1:
+    if n == 1:
+        return RiordanGraph(1, [0], pair)
+    if pair.precision < n - 1:
         raise PrecisionError(
             f"pair precision {pair.precision} too small for graph order {n}"
         )
-    prov = Provenance("pair", pair=pair)
-    if n == 1:
-        return RiordanGraph(1, [0], prov)
-    g = pair.g.truncate(n - 1)
-    f = pair.f.truncate(n - 1)
-    below = [0] * n
-    col = g
-    for j in range(1, n):  # vertex j, using g*f^(j-1)
-        bits = col.bits
-        for i in range(j + 1, n + 1):  # vertex i > j reads degree i-2
-            below[i - 1] |= ((bits >> (i - 2)) & 1) << (j - 1)
-        col = col.mul(f)
-    return RiordanGraph(n, _symmetrized(n, below), prov)
+    return _from_triangle(riordan_matrix(pair, n - 1).rows, pair)
 
 
 def build_bell_aseq(a: ASequence, n: int) -> RiordanGraph:
@@ -449,18 +412,13 @@ def build_bell_aseq(a: ASequence, n: int) -> RiordanGraph:
     """
     if n < 1:
         raise UsageError(f"graph order must be positive, got {n}")
-    prov = Provenance("aseq", aseq=a)
     if n == 1:
-        return RiordanGraph(1, [0], prov)
+        return RiordanGraph(1, [0], a)
     if len(a) < n - 1:
         raise LengthError(
             f"order {n} needs an A-sequence of length {n - 1}, got {len(a)}"
         )
-    tri = bell_matrix_from_aseq(a, n - 1)
-    below = [0] * n
-    for i in range(2, n + 1):
-        below[i - 1] = tri.rows[i - 2]
-    return RiordanGraph(n, _symmetrized(n, below), prov)
+    return _from_triangle(bell_matrix_from_aseq(a, n - 1).rows, a)
 
 
 def catalan_graph(n: int) -> RiordanGraph:

@@ -237,8 +237,10 @@ def riordan_matrix(pair: RiordanPair, n: int) -> BinaryTriangle:
     rows = [0] * n
     for j in range(n):
         bits = col.bits
-        for i in range(j, n):
-            rows[i] |= ((bits >> i) & 1) << j
+        while bits:
+            low = bits & -bits
+            rows[low.bit_length() - 1] |= 1 << j
+            bits ^= low
         col = col.mul(f)
     return BinaryTriangle(rows)
 

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 from typing import Iterator, Optional, Sequence
 
 from .errors import ScaleError, UsageError
 from .riordan import ASequence
-from .rgraph import build_bell_aseq, catalan_graph, pascal_graph
+from .rgraph import Graph, build_bell_aseq, catalan_graph, pascal_graph
 
 __all__ = [
     "ConjectureReport",
@@ -84,9 +83,29 @@ class ConjectureReport:
         return [CSV_HEADER] + [r.to_csv() for r in self.records]
 
 
-def free_positions(length: int) -> list[int]:
-    """Indices of the free bits of a length-`length` io pattern (a2, a4, ...)."""
-    return list(range(2, length, 2))
+def _free_count(length: int) -> int:
+    """Number of free bits (a2, a4, ...) of a length-`length` io pattern."""
+    return (length - 1) // 2
+
+
+def _space_size(frees: int, budget: int) -> int:
+    """2^frees, the number of io patterns with `frees` free bits.  A space
+    larger than the budget is refused before that number is built."""
+    if frees > budget.bit_length():
+        raise ScaleError(
+            f"scan estimate over 2^{frees} vertex-visits exceeds budget {budget}"
+        )
+    return 1 << frees
+
+
+def _io_aseq(value: int, length: int) -> ASequence:
+    """The io pattern of `length` whose free bits, read with a2 as the
+    most significant, spell `value`; a trailing unpaired slot is free."""
+    bits = [1, 1]
+    for shift in range(_free_count(length) - 1, -1, -1):
+        b = (value >> shift) & 1
+        bits += (b, b)
+    return ASequence(bits[:length])
 
 
 def enumerate_io_aseqs(length: int) -> Iterator[ASequence]:
@@ -97,15 +116,8 @@ def enumerate_io_aseqs(length: int) -> Iterator[ASequence]:
     """
     if length < 2:
         raise UsageError(f"pattern sequences need length >= 2, got {length}")
-    frees = free_positions(length)
-    for value in range(1 << len(frees)):
-        bits = [1, 1] + [0] * (length - 2)
-        for rank, pos in enumerate(frees):
-            b = (value >> (len(frees) - 1 - rank)) & 1
-            bits[pos] = b
-            if pos + 1 < length:
-                bits[pos + 1] = b
-        yield ASequence(bits)
+    for value in range(1 << _free_count(length)):
+        yield _io_aseq(value, length)
 
 
 def counterexample_family(length: int, ones: int = 16) -> ASequence:
@@ -122,13 +134,8 @@ def _guard(estimate: int, budget: int) -> None:
         )
 
 
-def _prefix_diameters(a: ASequence, n_max: int, orders: Sequence[int]) -> dict[int, int]:
-    full = build_bell_aseq(a, n_max)
-    return {n: full.induced_prefix(n).diameter() for n in orders}
-
-
-def _family_diameters(builder, n_max: int, orders: Sequence[int]) -> dict[int, int]:
-    full = builder(n_max)
+def _prefix_diameters(full: Graph, orders: Sequence[int]) -> dict[int, int]:
+    """Diameter of each leading block of `full` whose order is in `orders`."""
     return {n: full.induced_prefix(n).diameter() for n in orders}
 
 
@@ -138,7 +145,7 @@ def _conj1_chunk(args):
     seq_bits, n_max, orders = args
     out = []
     for bits in seq_bits:
-        diams = _prefix_diameters(ASequence(bits), n_max, orders)
+        diams = _prefix_diameters(build_bell_aseq(ASequence(bits), n_max), orders)
         out.append((bits, diams))
     return out
 
@@ -154,6 +161,8 @@ def _conj2_chunk(args):
 def _run_chunks(worker, chunks, jobs: int):
     if jobs <= 1 or len(chunks) <= 1:
         return [worker(c) for c in chunks]
+    from multiprocessing import Pool
+
     with Pool(processes=jobs) as pool:
         return pool.map(worker, chunks)
 
@@ -195,7 +204,7 @@ def scan_conjecture1(
                 f"a_len {a_len} cannot determine graphs up to order {n_max}"
             )
         # guard before materializing: the pattern space is exponential
-        _guard(((1 << len(free_positions(a_len))) + 2) * work, budget)
+        _guard((_space_size(_free_count(a_len), budget) + 2) * work, budget)
         sequences = list(enumerate_io_aseqs(a_len))
     else:
         sequences = list(sequences)
@@ -206,8 +215,8 @@ def scan_conjecture1(
                 )
         _guard((len(sequences) + 2) * work, budget)
 
-    ref_catalan = _family_diameters(catalan_graph, n_max, orders)
-    ref_pascal = _family_diameters(pascal_graph, n_max, orders)
+    ref_catalan = _prefix_diameters(catalan_graph(n_max), orders)
+    ref_pascal = _prefix_diameters(pascal_graph(n_max), orders)
 
     chunks = [
         (tuple(a.bits for a in chunk), n_max, orders)
@@ -268,32 +277,28 @@ def scan_conjecture2(
     """
     if k < 1:
         raise UsageError("k must be at least 1")
+    if sample is not None and sample < 1:
+        raise UsageError(f"sample must be at least 1, got {sample}")
     n = 1 << k
     length = n - 1 if n > 2 else 2
+    frees = _free_count(length)
     exhaustive = k <= exhaustive_max_k and sample is None
     if exhaustive:
-        _guard((1 << len(free_positions(length))) * n * n, budget)
+        count = _space_size(frees, budget)
+    else:
+        want = 4096 if sample is None else sample
+        # min(want, 2^frees), without building 2^frees when it is larger
+        count = want if frees >= want.bit_length() else min(want, 1 << frees)
+    # guard before any sequence of length 2^k - 1 exists
+    _guard(count * n * n, budget)
+    if exhaustive:
         sequences = list(enumerate_io_aseqs(length))
     else:
-        count = sample if sample is not None else 4096
         rng = random.Random(seed)
-        frees = free_positions(length)
-        seen = set()
-        all_ones_value = (1 << len(frees)) - 1
-        seen.add(all_ones_value)  # always include the Catalan prefix
-        while len(seen) < min(count, 1 << len(frees)):
-            seen.add(rng.getrandbits(len(frees)))
-        values = sorted(seen)
-        sequences = []
-        for value in values:
-            bits = [1, 1] + [0] * (length - 2)
-            for rank, pos in enumerate(frees):
-                b = (value >> (len(frees) - 1 - rank)) & 1
-                bits[pos] = b
-                if pos + 1 < length:
-                    bits[pos + 1] = b
-            sequences.append(ASequence(bits))
-    _guard(len(sequences) * n * n, budget)
+        seen = {(1 << frees) - 1}  # always include the Catalan prefix
+        while len(seen) < count:
+            seen.add(rng.getrandbits(frees))
+        sequences = [_io_aseq(value, length) for value in sorted(seen)]
 
     ref_catalan = catalan_graph(n).diameter()
     ref_pascal = pascal_graph(n).diameter()
@@ -364,11 +369,13 @@ def scan_conjecture3(
         raise UsageError("n_max must be at least 8")
     orders = mixed_size_orders(n_max)
     _guard(sum(n * n for n, _, _, _ in orders) + n_max * n_max, budget)
-    full = catalan_graph(n_max) if orders else None
+    diams = {}
+    if orders:
+        diams = _prefix_diameters(catalan_graph(n_max), [o[0] for o in orders])
     report = ConjectureReport("3", {"n_max": n_max, "orders": len(orders)})
     for n, k, m, s in orders:
         want = s + 2 if m == 1 else s + 3
-        got = full.induced_prefix(n).diameter()
+        got = diams[n]
         if got == want:
             verdict = WITHIN
         elif got > want:
@@ -387,16 +394,11 @@ def scan_conjecture3(
 def reproduce_counterexamples(n_max: int = 100) -> list[tuple[int, int, int]]:
     """Rows (n, diam(CG_n), diam(G_n)) where the sixteen-ones family
     exceeds the Catalan diameter, for 4 <= n <= n_max."""
+    orders = range(4, n_max + 1)
     a = counterexample_family(max(n_max - 1, 16))
-    fam = build_bell_aseq(a, n_max)
-    cat = catalan_graph(n_max)
-    rows = []
-    for n in range(4, n_max + 1):
-        dg = fam.induced_prefix(n).diameter()
-        dc = cat.induced_prefix(n).diameter()
-        if dg > dc:
-            rows.append((n, dc, dg))
-    return rows
+    fam = _prefix_diameters(build_bell_aseq(a, n_max), orders)
+    cat = _prefix_diameters(catalan_graph(n_max), orders)
+    return [(n, cat[n], fam[n]) for n in orders if fam[n] > cat[n]]
 
 
 @dataclass

@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from riordangraphs.cli import main
 from riordangraphs.golden import printed_cg6, printed_cg8_reverse
 
@@ -199,6 +201,40 @@ def test_usage_exit_codes(capsys):
     assert main([]) == 2
     assert main(["--help"]) == 0
     assert main(["reproduce", "nonsense"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["metric", "--aseq", "11", "-n", "4", "distance", "1", "x"],
+        # --jobs only below 1: these are rejected before any process starts
+        ["scan", "2", "-k", "3", "--jobs", "0"],
+        ["scan", "2", "-k", "3", "--jobs", "-3"],
+        ["scan", "2", "-k", "6", "--sample", "0"],
+        ["scan", "2", "-k", "6", "--sample", "-5"],
+        # guarded before any sequence of length 2^40 - 1 is built
+        ["scan", "2", "-k", "40", "--sample", "2"],
+    ],
+)
+def test_bad_input_exit2_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_closed_stdout_exit2():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "riordangraphs", "graph", "--family", "catalan",
+         "-n", "1024", "--format", "matrix"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err
 
 
 def test_console_entry_subprocess():

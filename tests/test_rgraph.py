@@ -1,4 +1,7 @@
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riordangraphs.binseries import BinarySeries, from_bitstring, named_series
 from riordangraphs.errors import (
@@ -21,12 +24,18 @@ from riordangraphs.rgraph import (
     reverse_formula,
 )
 
+from riordangraphs.search import enumerate_io_aseqs
+
 from oracles import (
     adj_sets,
+    bell_graph_adj,
     bfs_dists,
     brute_clique,
     diameter_oracle,
+    poly_mul_mod2,
     random_io_bits,
+    random_proper_f_bits,
+    random_unit_bits,
     reverse_adj_oracle,
 )
 
@@ -67,6 +76,26 @@ def test_build_bell_aseq_matches_pairs():
     ).rows
     with pytest.raises(LengthError):
         io_graph([1, 1, 1], 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.randoms(use_true_random=False))
+def test_build_equals_literal_entries(n, rnd):
+    # r(i, j) = [z^(i-2)] g f^(j-1) for i > j, by schoolbook products
+    prec = n - 1
+    g = random_unit_bits(rnd, prec)
+    f = random_proper_f_bits(rnd, max(prec, 2))[:prec]
+    pair = RiordanPair(
+        BinarySeries(sum(b << k for k, b in enumerate(g)), prec),
+        BinarySeries(sum(b << k for k, b in enumerate(f)), prec),
+    )
+    G = build(pair, n)
+    col = g
+    for j in range(1, n):
+        for i in range(j + 1, n + 1):
+            assert G.adjacent(i, j) == G.adjacent(j, i) == bool(col[i - 2])
+        col = poly_mul_mod2(col, f, prec)
+    assert all(not G.adjacent(v, v) for v in range(1, n + 1))
 
 
 def test_build_order_one():
@@ -124,6 +153,51 @@ def test_diameter_against_oracle(rng):
         n = rng.randint(2, 40)
         G = io_graph(random_io_bits(rng, max(n - 1, 2)), n)
         assert G.diameter() == diameter_oracle(adj_sets(G))
+
+
+def test_distance_kernel_against_oracle_on_io_spaces():
+    # every io graph of the k <= 4 spaces, against an independently built graph
+    for k in range(1, 5):
+        n = 1 << k
+        for a in enumerate_io_aseqs(max(n - 1, 2)):
+            G = build_bell_aseq(a, n)
+            adj = bell_graph_adj(a.bits, n)
+            diam = diameter_oracle(adj)
+            pairs = set()
+            for u in range(1, n + 1):
+                oracle = bfs_dists(adj, u)
+                assert G.distances(u).dists == tuple(oracle.get(v) for v in range(1, n + 1))
+                assert G.eccentricity(u) == max(oracle.values())
+                for v in range(1, n + 1):
+                    assert G.distance(u, v) == oracle[v]
+                    if u < v and oracle[v] == diam:
+                        pairs.add((u, v))
+            assert G.diameter() == diam
+            assert G.diameter_pairs() == (diam, pairs)
+
+
+def test_pair_graphs_disconnected_witness():
+    # every pair graph of orders 4-6: both diameters agree with the oracle,
+    # and on disconnection name the same unreachable pair
+    disconnected = 0
+    for n in (4, 5, 6):
+        prec = n - 1
+        for gbits, fbits in product(range(1 << prec), range(0, 1 << prec, 2)):
+            G = build(RiordanPair(BinarySeries(gbits, prec), BinarySeries(fbits, prec)), n)
+            diam = diameter_oracle(adj_sets(G))
+            if diam is not None:
+                assert G.diameter() == G.diameter_pairs()[0] == diam
+                continue
+            disconnected += 1
+            with pytest.raises(DisconnectedError) as plain:
+                G.diameter()
+            with pytest.raises(DisconnectedError) as paired:
+                G.diameter_pairs()
+            u, v = plain.value.pair
+            assert paired.value.pair == (u, v)
+            assert G.distance(u, v) is None and G.eccentricity(u) is None
+            assert v not in bfs_dists(adj_sets(G), u)
+    assert disconnected > 0
 
 
 def test_universal_vertices():

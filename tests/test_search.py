@@ -160,6 +160,9 @@ def test_scan2_sampled_k6():
 def test_scan2_budget_guard():
     with pytest.raises(ScaleError):
         scan_conjecture2(5, budget=10)
+    # refused before any sequence of length 2^40 - 1 is built
+    with pytest.raises(ScaleError):
+        scan_conjecture2(40, sample=2)
 
 
 def test_scan2_jobs_deterministic():
