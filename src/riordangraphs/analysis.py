@@ -147,6 +147,17 @@ def check_structural_order(
     return None
 
 
+def _first_diff(left: tuple, right: tuple) -> Optional[tuple[int, int, int, int]]:
+    """First differing entry (i, j) of two adjacency row tuples, 1-based,
+    with the left and right bits there; None when they agree."""
+    for i, (a, b) in enumerate(zip(left, right), start=1):
+        diff = a ^ b
+        if diff:
+            j = (diff & -diff).bit_length() - 1
+            return i, j + 1, (a >> j) & 1, (b >> j) & 1
+    return None
+
+
 def check_fractal_window(G: Graph, s: int, alpha: int) -> Optional[dict]:
     """Compare the two leading blocks with their shifted copies at offset
     alpha * 2^s (labels order-preserving); return a witness or None."""
@@ -155,21 +166,19 @@ def check_fractal_window(G: Graph, s: int, alpha: int) -> Optional[dict]:
     for size in (step + 1, step):
         lead = G.induced(list(range(1, size + 1)))
         window = G.induced(list(range(lo, lo + size)))
-        if lead.rows != window.rows:
-            for i in range(size):
-                diff = lead.rows[i] ^ window.rows[i]
-                if diff:
-                    j = (diff & -diff).bit_length() - 1
-                    return {
-                        "kind": "window-entry",
-                        "s": s,
-                        "alpha": alpha,
-                        "size": size,
-                        "i": i + 1,
-                        "j": j + 1,
-                        "lead": (lead.rows[i] >> j) & 1,
-                        "window": (window.rows[i] >> j) & 1,
-                    }
+        diff = _first_diff(lead.rows, window.rows)
+        if diff is not None:
+            i, j, lead_bit, window_bit = diff
+            return {
+                "kind": "window-entry",
+                "s": s,
+                "alpha": alpha,
+                "size": size,
+                "i": i,
+                "j": j,
+                "lead": lead_bit,
+                "window": window_bit,
+            }
     return None
 
 
@@ -305,20 +314,16 @@ def verify_catalan_diameters(k_max: int) -> VerificationReport:
 
 
 def _first_entry_diff(tag: str, n: int, left: Graph, right: Graph) -> dict:
-    for i in range(n):
-        diff = left.rows[i] ^ right.rows[i]
-        if diff:
-            j = (diff & -diff).bit_length() - 1
-            return {
-                "kind": "entry",
-                "tag": tag,
-                "n": n,
-                "i": i + 1,
-                "j": j + 1,
-                "left": (left.rows[i] >> j) & 1,
-                "right": (right.rows[i] >> j) & 1,
-            }
-    raise AssertionError("graphs differ but no differing entry found")
+    i, j, left_bit, right_bit = _first_diff(left.rows, right.rows)
+    return {
+        "kind": "entry",
+        "tag": tag,
+        "n": n,
+        "i": i,
+        "j": j,
+        "left": left_bit,
+        "right": right_bit,
+    }
 
 
 def verify_mixed_size(k: int, m: int, s: int, a: ASequence) -> VerificationReport:
@@ -498,7 +503,13 @@ def replay_witness(G: Graph, witness: dict) -> bool:
         )
     if kind == "max-neighbor":
         return G.rows[witness["i"] - 1].bit_length() == witness["got"] != witness["want"]
-    if kind in ("entry", "window-entry"):
-        # caller replays on the graph the witness points into
-        return True
+    if kind == "window-entry":
+        i, j = witness["i"], witness["j"]
+        lo = witness["alpha"] * (1 << witness["s"]) + 1
+        return G.adjacent(i, j) == witness["lead"] and (
+            G.adjacent(lo + i - 1, lo + j - 1) == witness["window"] != witness["lead"]
+        )
+    if kind == "entry":
+        # G is the left graph of the comparison
+        return G.adjacent(witness["i"], witness["j"]) == witness["left"] != witness["right"]
     raise UsageError(f"unknown witness kind {kind!r}")

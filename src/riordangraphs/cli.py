@@ -4,8 +4,9 @@ Subcommands: graph, metric, verify, scan, reproduce.  Exit codes:
 0 = verified / no violations, 1 = mathematical discrepancy found,
 2 = usage or resource error.  All output is line-oriented UTF-8.
 
-An --aseq literal names the polynomial A(z) with those coefficients: it
-is zero-extended on the right to whatever length the requested order
+Each command takes exactly one graph descriptor flag.  An --aseq
+literal names the polynomial A(z) with those coefficients: it is
+zero-extended on the right to whatever length the requested order
 needs.  Library calls proper are stricter and never extend.
 """
 
@@ -31,45 +32,51 @@ from .golden import (
 )
 
 FAMILIES = ("catalan", "pascal")
+# reproduce target -> (Catalan order, reversed labels, printed matrix)
+MATRICES = {
+    "figure1": (6, False, printed_cg6),
+    "example-cg8r": (8, True, printed_cg8_reverse),
+}
 
 
-def _extended_aseq(bits: str, length: int) -> ASequence:
-    a = ASequence(bits)
-    if len(a) >= length:
-        return a
-    return ASequence(list(a.bits) + [0] * (length - len(a)))
+def _descriptor(args, flags: tuple[str, ...]) -> tuple[str, object]:
+    """The one descriptor flag given among `flags` (argparse dests), with its value."""
+    given = [(f, getattr(args, f)) for f in flags if getattr(args, f) is not None]
+    if len(given) != 1:
+        names = ", ".join("--" + f.replace("_", "-") for f in flags)
+        raise UsageError(f"this command needs exactly one of {names}")
+    return given[0]
 
 
-def _family_aseq(family: str, length: int) -> ASequence:
-    if family == "catalan":
-        return ASequence([1] * length)
-    if family == "pascal":
-        return ASequence([1, 1] + [0] * (length - 2))
-    raise UsageError(f"unknown family {family!r}")
+def _aseq(flag: str, value, order: int) -> ASequence:
+    """The A-sequence a descriptor names, zero-extended to determine
+    graphs of `order`: catalan is all ones, pascal 11, --aseq-ones N
+    is N ones."""
+    length = max(order - 1, 2)
+    if flag == "family":
+        value = "1" * length if value == "catalan" else "11"
+    elif flag == "aseq_ones":
+        value = [1] * value
+    a = ASequence(value)  # a malformed literal is reported as given
+    return ASequence(a.bits + (0,) * (length - len(a)))
 
 
 def _graph_from_args(args, n: int) -> Graph:
-    chosen = [x for x in (args.family, args.g, args.aseq) if x]
-    if len(chosen) != 1:
-        raise UsageError("give exactly one of --family, --g, --aseq")
-    if args.family:
-        if args.family == "catalan":
-            return catalan_graph(n)
-        if args.family == "pascal":
-            return pascal_graph(n)
-        raise UsageError(f"unknown family {args.family!r}")
-    if args.g:
+    flag, value = _descriptor(args, ("family", "g", "aseq"))
+    if flag == "family":
+        return catalan_graph(n) if value == "catalan" else pascal_graph(n)
+    if flag == "g":
         from .binseries import from_bitstring, named_series
         from .riordan import RiordanPair
         from .rgraph import build
 
-        g = from_bitstring(args.g)
+        g = from_bitstring(value)
         need = max(n - 1, 1)
         if g.precision < need:
-            g = from_bitstring(args.g + "0" * (need - g.precision))
+            g = from_bitstring(value + "0" * (need - g.precision))
         f = named_series("z", g.precision).mul(g)
         return build(RiordanPair(g, f), n)
-    return build_bell_aseq(_extended_aseq(args.aseq, max(n - 1, 2)), n)
+    return build_bell_aseq(_aseq(flag, value, n), n)
 
 
 def _add_descriptor(p: argparse.ArgumentParser) -> None:
@@ -136,39 +143,29 @@ def _cmd_metric(args) -> int:
     return 0
 
 
-def _verify_aseq(args, length: int) -> ASequence:
-    if args.family and args.aseq:
-        raise UsageError("give --family or --aseq, not both")
-    if args.family:
-        return _family_aseq(args.family, length)
-    if args.aseq:
-        return _extended_aseq(args.aseq, length)
-    raise UsageError("this claim needs --family or --aseq")
-
-
 def _cmd_verify(args) -> int:
     claim = args.claim
-    if claim == "structural":
-        a = _verify_aseq(args, max(args.nmax - 1, 2))
-        report = analysis.verify_structural(a, args.nmax)
-    elif claim == "fractal":
-        n = args.n
-        a = _verify_aseq(args, max(n - 1, 2))
-        report = analysis.verify_fractal(a, args.s, args.alpha_max, n)
-    elif claim == "catalan-diameters":
+    if claim == "catalan-diameters":
         report = analysis.verify_catalan_diameters(args.kmax)
-    elif claim == "mixed-size":
-        n = 1 + (1 << args.m) + sum(1 << (args.k + j) for j in range(args.s + 1))
-        a = _verify_aseq(args, max(n - 1, 2))
-        report = analysis.verify_mixed_size(args.k, args.m, args.s, a)
-    elif claim == "monotonicity":
-        a = _verify_aseq(args, max((1 << (args.k + args.mmax)) - 1, 2))
-        report = analysis.verify_monotonicity(a, args.k, args.mmax)
-    elif claim == "diameter-drop":
-        a = _verify_aseq(args, max((1 << args.k) - 1, 2))
-        report = analysis.verify_diameter_drop(a, args.k)
     else:
-        raise UsageError(f"unknown claim {claim!r}")
+        descriptor = _descriptor(args, ("family", "aseq"))
+        if claim == "structural":
+            a = _aseq(*descriptor, args.nmax)
+            report = analysis.verify_structural(a, args.nmax)
+        elif claim == "fractal":
+            a = _aseq(*descriptor, args.n)
+            report = analysis.verify_fractal(a, args.s, args.alpha_max, args.n)
+        elif claim == "mixed-size":
+            n = 1 + (1 << args.m) + sum(1 << (args.k + j) for j in range(args.s + 1))
+            report = analysis.verify_mixed_size(
+                args.k, args.m, args.s, _aseq(*descriptor, n)
+            )
+        elif claim == "monotonicity":
+            a = _aseq(*descriptor, 1 << (args.k + args.mmax))
+            report = analysis.verify_monotonicity(a, args.k, args.mmax)
+        else:  # diameter-drop
+            a = _aseq(*descriptor, 1 << args.k)
+            report = analysis.verify_diameter_drop(a, args.k)
     print(report.to_line())
     for note in report.notes:
         print(f"# {note}")
@@ -180,15 +177,11 @@ def _cmd_scan(args) -> int:
     if jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
     if args.conjecture == "1":
-        sequences = None
-        a_len = args.alen
-        if args.aseq_ones is not None:
-            sequences = [search.counterexample_family(max(args.nmax - 1, args.aseq_ones),
-                                                      args.aseq_ones)]
-        elif args.aseq is not None:
-            sequences = [_extended_aseq(args.aseq, max(args.nmax - 1, 2))]
-        elif a_len is None:
-            raise UsageError("scan 1 needs --alen, --aseq or --aseq-ones")
+        flag, value = _descriptor(args, ("alen", "aseq", "aseq_ones"))
+        if flag == "alen":
+            a_len, sequences = value, None
+        else:
+            a_len, sequences = None, [_aseq(flag, value, args.nmax)]
         report = search.scan_conjecture1(
             args.nmax, a_len=a_len, sequences=sequences,
             budget=args.budget, jobs=jobs,
@@ -200,10 +193,8 @@ def _cmd_scan(args) -> int:
             args.k, sample=args.sample, seed=args.seed,
             budget=args.budget, jobs=jobs,
         )
-    elif args.conjecture == "3":
-        report = search.scan_conjecture3(args.nmax, budget=args.budget)
     else:
-        raise UsageError(f"unknown conjecture {args.conjecture!r}")
+        report = search.scan_conjecture3(args.nmax, budget=args.budget)
     if args.violations_only:
         print(search.CSV_HEADER)
         for rec in report.violations:
@@ -243,42 +234,32 @@ def _cmd_reproduce(args) -> int:
         print(f"# {'match' if ok else 'MISMATCH'} against printed table "
               f"({len(rows)} rows)", file=sys.stderr)
         return 0 if ok else 1
-    if target == "figure1":
-        computed = catalan_graph(6).to_matrix_lines()
-        for line in computed:
+    if target in MATRICES:
+        order, reverse, printed = MATRICES[target]
+        G = catalan_graph(order)
+        computed = (G.reverse_direct() if reverse else G).to_matrix_lines()
+        want = printed()
+        for line in computed + _diff_matrix(computed, want):
             print(line)
-        notes = _diff_matrix(computed, printed_cg6())
-        for note in notes:
-            print(note)
-        return 0 if computed == printed_cg6() else 1
-    if target == "example-cg8r":
-        computed = catalan_graph(8).reverse_direct().to_matrix_lines()
-        for line in computed:
-            print(line)
-        notes = _diff_matrix(computed, printed_cg8_reverse())
-        for note in notes:
-            print(note)
-        return 0 if computed == printed_cg8_reverse() else 1
-    if target in ("table1", "table2"):
-        t1, t2 = search.reproduce_tables()
-        table = t1 if target == "table1" else t2
-        print("aseq,diam,status,printed")
-        for row in table.rows:
-            printed = "|".join(map(str, row.printed)) if row.printed else "-"
-            print(f"{row.aseq},{row.diam},{row.status},{printed}")
-        for seq, times, values in table.duplicates:
-            print(f"# printed duplicate: {seq} appears {times} times "
-                  f"with values {sorted(set(values))}")
-        for seq in table.omitted:
-            print(f"# omitted from print: {seq}")
-        for seq in table.foreign:
-            print(f"# printed but outside the enumeration: {seq}")
-        bad = table.genuine_mismatches
-        if bad:
-            print(f"# {len(bad)} genuine mismatches", file=sys.stderr)
-            return 1
-        return 0
-    raise UsageError(f"unknown reproduce target {target!r}")
+        return 0 if computed == want else 1
+    t1, t2 = search.reproduce_tables()
+    table = t1 if target == "table1" else t2
+    print("aseq,diam,status,printed")
+    for row in table.rows:
+        printed = "|".join(map(str, row.printed)) if row.printed else "-"
+        print(f"{row.aseq},{row.diam},{row.status},{printed}")
+    for seq, times, values in table.duplicates:
+        print(f"# printed duplicate: {seq} appears {times} times "
+              f"with values {sorted(set(values))}")
+    for seq in table.omitted:
+        print(f"# omitted from print: {seq}")
+    for seq in table.foreign:
+        print(f"# printed but outside the enumeration: {seq}")
+    bad = table.genuine_mismatches
+    if bad:
+        print(f"# {len(bad)} genuine mismatches", file=sys.stderr)
+        return 1
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,8 +12,10 @@ with exit semantics: a scan "fails" exactly when violations were found.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator, Optional, Sequence
 
 from .errors import ScaleError, UsageError
@@ -35,6 +37,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**8
+EXHAUSTIVE_MAX_K = 5  # scan 2 enumerates every pattern up to k = 5, samples beyond
 
 WITHIN = "within-bounds"
 UPPER = "upper-violation"
@@ -66,8 +69,12 @@ class ConjectureReport:
     conjecture: str
     params: dict
     records: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
+
+    @property
+    def violations(self) -> list:
+        """The records whose verdict is not within-bounds, in record order."""
+        return [r for r in self.records if r.verdict != WITHIN]
 
     @property
     def passed(self) -> bool:
@@ -136,42 +143,34 @@ def _guard(estimate: int, budget: int) -> None:
 
 def _prefix_diameters(full: Graph, orders: Sequence[int]) -> dict[int, int]:
     """Diameter of each leading block of `full` whose order is in `orders`."""
-    return {n: full.induced_prefix(n).diameter() for n in orders}
+    return {
+        n: (full if n == full.n else full.induced_prefix(n)).diameter()
+        for n in orders
+    }
 
 
-# -- worker functions (module level so they pickle) --------------------------
-
-def _conj1_chunk(args):
-    seq_bits, n_max, orders = args
-    out = []
-    for bits in seq_bits:
-        diams = _prefix_diameters(build_bell_aseq(ASequence(bits), n_max), orders)
-        out.append((bits, diams))
-    return out
+def _sequence_diameters(bits: tuple, n_max: int, orders: Sequence[int]) -> tuple[int, ...]:
+    # module level so that it pickles for the pool; a tuple, not a dict,
+    # keeps the results of an exhaustive scan small
+    full = build_bell_aseq(ASequence(bits), n_max)
+    return tuple(_prefix_diameters(full, orders).values())
 
 
-def _conj2_chunk(args):
-    seq_bits, n = args
-    out = []
-    for bits in seq_bits:
-        out.append((bits, build_bell_aseq(ASequence(bits), n).diameter()))
-    return out
-
-
-def _run_chunks(worker, chunks, jobs: int):
-    if jobs <= 1 or len(chunks) <= 1:
-        return [worker(c) for c in chunks]
+def _diameters(
+    sequences: Sequence[ASequence], n_max: int, orders: Sequence[int], jobs: int
+) -> list[tuple[int, ...]]:
+    """Diameters at `orders` of each sequence's order-`n_max` graph, in
+    sequence order, on at most min(jobs, cpu count, len(sequences))
+    processes."""
+    work = partial(_sequence_diameters, n_max=n_max, orders=orders)
+    bits = [a.bits for a in sequences]
+    procs = min(jobs, os.cpu_count() or 1, len(bits))
+    if procs <= 1:
+        return [work(b) for b in bits]
     from multiprocessing import Pool
 
-    with Pool(processes=jobs) as pool:
-        return pool.map(worker, chunks)
-
-
-def _chunked(items: list, jobs: int) -> list:
-    if jobs <= 1:
-        return [items]
-    size = max(1, (len(items) + jobs - 1) // jobs)
-    return [items[i : i + size] for i in range(0, len(items), size)]
+    with Pool(processes=procs) as pool:
+        return pool.map(work, bits, chunksize=-(-len(bits) // procs))
 
 
 # -- scans --------------------------------------------------------------------
@@ -218,24 +217,17 @@ def scan_conjecture1(
     ref_catalan = _prefix_diameters(catalan_graph(n_max), orders)
     ref_pascal = _prefix_diameters(pascal_graph(n_max), orders)
 
-    chunks = [
-        (tuple(a.bits for a in chunk), n_max, orders)
-        for chunk in _chunked(sequences, jobs)
-        if chunk
-    ]
-    results = _run_chunks(_conj1_chunk, chunks, jobs)
+    results = _diameters(sequences, n_max, orders, jobs)
 
     report = ConjectureReport(
         "1",
         {"n_max": n_max, "sequences": len(sequences)},
     )
-    per_seq = [pair for chunk in results for pair in chunk]
     diameter2 = []
-    for bits, diams in per_seq:
-        name = "".join(map(str, bits))
+    for a, diams in zip(sequences, results):
+        name = a.to_bitstring()
         always_two = True
-        for n in orders:
-            d = diams[n]
+        for n, d in zip(orders, diams):
             if d > ref_catalan[n]:
                 verdict = UPPER
             elif d < 2:
@@ -244,15 +236,13 @@ def scan_conjecture1(
                 verdict = WITHIN
             if d != 2:
                 always_two = False
-            rec = SearchRecord(n, name, d, ref_catalan[n], ref_pascal[n], verdict)
-            report.records.append(rec)
-            if verdict != WITHIN:
-                report.violations.append(rec)
-        is_pascal = bits[0] == 1 and bits[1] == 1 and not any(bits[2:])
+            report.records.append(
+                SearchRecord(n, name, d, ref_catalan[n], ref_pascal[n], verdict)
+            )
+        is_pascal = a.bits[:2] == (1, 1) and not any(a.bits[2:])
         if always_two and not is_pascal:
             diameter2.append(name)
     report.records.sort(key=lambda r: (r.n, r.aseq))
-    report.violations.sort(key=lambda r: (r.n, r.aseq))
     report.extras["diameter2_everywhere"] = diameter2
     report.extras["pascal_reference"] = ref_pascal
     return report
@@ -264,12 +254,11 @@ def scan_conjecture2(
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
-    exhaustive_max_k: int = 5,
 ) -> ConjectureReport:
     """Which io patterns of order n = 2^k reach the extremal diameter k?
 
     Enumerates the full determining space (length 2^k - 1 patterns,
-    trailing bit free) for k <= exhaustive_max_k, or a seeded random
+    trailing bit free) for k <= EXHAUSTIVE_MAX_K, or a seeded random
     sample beyond.  The conjecture expects the all-ones sequence to be
     the only graph attaining diameter k; any other attainer is recorded
     as a violation.  Sequence identity is adjacency identity under the
@@ -282,7 +271,7 @@ def scan_conjecture2(
     n = 1 << k
     length = n - 1 if n > 2 else 2
     frees = _free_count(length)
-    exhaustive = k <= exhaustive_max_k and sample is None
+    exhaustive = k <= EXHAUSTIVE_MAX_K and sample is None
     if exhaustive:
         count = _space_size(frees, budget)
     else:
@@ -303,12 +292,7 @@ def scan_conjecture2(
     ref_catalan = catalan_graph(n).diameter()
     ref_pascal = pascal_graph(n).diameter()
 
-    chunks = [
-        (tuple(a.bits for a in chunk), n)
-        for chunk in _chunked(sequences, jobs)
-        if chunk
-    ]
-    results = _run_chunks(_conj2_chunk, chunks, jobs)
+    results = _diameters(sequences, n, [n], jobs)
 
     report = ConjectureReport(
         "2",
@@ -321,18 +305,16 @@ def scan_conjecture2(
     )
     ones = "1" * length
     attainers = []
-    for bits, diam in (pair for chunk in results for pair in chunk):
-        name = "".join(map(str, bits))
+    for a, (diam,) in zip(sequences, results):
+        name = a.to_bitstring()
         attains = diam == k
         if attains:
             attainers.append(name)
         verdict = UPPER if attains and name != ones else WITHIN
-        rec = SearchRecord(n, name, diam, ref_catalan, ref_pascal, verdict)
-        report.records.append(rec)
-        if verdict != WITHIN:
-            report.violations.append(rec)
+        report.records.append(
+            SearchRecord(n, name, diam, ref_catalan, ref_pascal, verdict)
+        )
     report.records.sort(key=lambda r: r.aseq)
-    report.violations.sort(key=lambda r: r.aseq)
     report.extras["attainers"] = sorted(attainers)
     report.extras["all_ones_attains"] = ones in attainers
     return report
@@ -382,10 +364,9 @@ def scan_conjecture3(
             verdict = UPPER
         else:
             verdict = LOWER
-        rec = SearchRecord(n, f"catalan(k={k},m={m},s={s})", got, want, 2, verdict)
-        report.records.append(rec)
-        if verdict != WITHIN:
-            report.violations.append(rec)
+        report.records.append(
+            SearchRecord(n, f"catalan(k={k},m={m},s={s})", got, want, 2, verdict)
+        )
     return report
 
 

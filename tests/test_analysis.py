@@ -114,6 +114,24 @@ def test_fractal_fault_injection():
     assert witness is not None and witness["kind"] == "window-entry"
 
 
+def test_entry_witnesses_replay_from_their_fields():
+    G = catalan_graph(33)
+    rows = list(G.rows)
+    rows[8] ^= 1 << 10
+    rows[10] ^= 1 << 8
+    tampered = Graph(33, rows)
+    witness = check_fractal_window(tampered, 3, 1)
+    assert replay_witness(tampered, witness)
+    forged = dict(witness, i=1, j=2, lead=1, window=0)  # CG_33 has both edges
+    assert not replay_witness(G, forged)
+    assert not replay_witness(G, witness)
+
+    entry = analysis._first_entry_diff("tampered", 33, tampered, G)
+    assert entry["kind"] == "entry" and replay_witness(tampered, entry)
+    assert not replay_witness(G, entry)
+    assert not replay_witness(G, dict(entry, i=1, j=2, left=0, right=1))
+
+
 # -- catalan diameters --------------------------------------------------------
 
 def test_catalan_diameters_small_and_medium():

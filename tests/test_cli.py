@@ -214,6 +214,9 @@ def test_usage_exit_codes(capsys):
         ["scan", "2", "-k", "6", "--sample", "-5"],
         # guarded before any sequence of length 2^40 - 1 is built
         ["scan", "2", "-k", "40", "--sample", "2"],
+        # conflicting descriptors
+        ["scan", "1", "--alen", "9", "--aseq", "11", "--nmax", "8"],
+        ["scan", "1", "--aseq-ones", "4", "--aseq", "11", "--nmax", "8"],
     ],
 )
 def test_bad_input_exit2_one_line(capsys, argv):

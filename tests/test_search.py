@@ -103,8 +103,6 @@ def test_budget_guard_fires_before_enumeration():
     t0 = __import__("time").perf_counter()
     with pytest.raises(ScaleError):
         scan_conjecture1(100, a_len=99)
-    with pytest.raises(ScaleError):
-        scan_conjecture2(7, exhaustive_max_k=7)
     assert __import__("time").perf_counter() - t0 < 1.0
 
 
@@ -168,6 +166,20 @@ def test_scan2_budget_guard():
 def test_scan2_jobs_deterministic():
     a = scan_conjecture2(4, jobs=1)
     b = scan_conjecture2(4, jobs=4)
+    assert [r.to_csv() for r in a.records] == [r.to_csv() for r in b.records]
+
+
+def test_scan2_jobs_clamped_to_cpu_count(monkeypatch):
+    # one CPU: any --jobs runs in this process, so no pool may be created
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr("os.cpu_count", lambda: 1)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    a = scan_conjecture2(3, jobs=1)
+    b = scan_conjecture2(3, jobs=10**6)
     assert [r.to_csv() for r in a.records] == [r.to_csv() for r in b.records]
 
 
