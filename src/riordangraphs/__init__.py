@@ -3,7 +3,7 @@
 The layers, bottom up:
 
 - binseries: truncated formal power series over GF(2);
-- riordan:   Riordan matrices mod 2, A-sequences, Lucas binomials;
+- riordan:   Riordan matrices mod 2, A-sequences, the Bell recurrence;
 - rgraph:    Riordan graphs, distances, cliques, colorings, relabellings;
 - analysis:  each structural/diameter claim as an executable verifier;
 - search:    A-sequence enumeration, conjecture scans, table reproduction;
@@ -29,7 +29,6 @@ from .riordan import (
     RiordanPair,
     a_sequence,
     bell_matrix_from_aseq,
-    binom_mod_p,
     catalan_bit,
     catalan_pair,
     g_from_aseq,
@@ -71,7 +70,6 @@ __all__ = [
     "UsageError",
     "a_sequence",
     "bell_matrix_from_aseq",
-    "binom_mod_p",
     "build",
     "build_bell_aseq",
     "catalan_bit",

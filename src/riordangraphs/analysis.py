@@ -20,6 +20,7 @@ from .rgraph import Graph, build, build_bell_aseq, catalan_graph
 
 __all__ = [
     "VerificationReport",
+    "claim_order",
     "replay_witness",
     "verify_catalan_diameters",
     "verify_diameter_drop",
@@ -69,6 +70,25 @@ def _ceil_log2(n: int) -> int:
 
 def _floor_log2(n: int) -> int:
     return n.bit_length() - 1
+
+
+def claim_order(claim: str, k: int, m: int = 1, s: int = 0, m_max: int = 1) -> int:
+    """The order of the largest graph a verifier builds: mixed-size reads
+    (k, m, s), monotonicity (k, m_max), diameter-drop k.  The claim's
+    range checks come first, so no shift count is ever negative."""
+    if claim == "mixed-size":
+        if not (k > m >= 1) or s < 0:
+            raise UsageError(f"need k > m >= 1 and s >= 0, got k={k}, m={m}, s={s}")
+        return 1 + (1 << m) + sum(1 << (k + j) for j in range(s + 1))
+    if claim == "monotonicity":
+        if k < 2:
+            raise UsageError(f"need k >= 2, got {k}")
+        if m_max < 1:
+            raise UsageError(f"need m_max >= 1, got {m_max}")
+        return 1 << (k + m_max)
+    if k < 4:  # diameter-drop
+        raise UsageError(f"need k >= 4, got {k}")
+    return 1 << k
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +292,7 @@ def verify_catalan_diameters(k_max: int) -> VerificationReport:
         if witness is not None:
             return report.fail(witness)
 
-        low = catalan_graph(n - 1) if n > 1 else catalan_graph(1)
+        low = catalan_graph(n - 1)
         got = low.diameter()
         if got != k - 1:
             return report.fail(
@@ -289,19 +309,18 @@ def verify_catalan_diameters(k_max: int) -> VerificationReport:
         if rev.rows != form.rows:
             return report.fail(_first_entry_diff("reversed-power-pair", n, rev, form))
 
-        if n - 1 >= 1:
-            rev_low = low.reverse_direct()
-            form_low = build(
-                RiordanPair(
-                    BinarySeries(0b11, max(n - 2, 2)),
-                    BinarySeries(0b110, max(n - 2, 2)),
-                ),
-                n - 1,
+        rev_low = low.reverse_direct()
+        form_low = build(
+            RiordanPair(
+                BinarySeries(0b11, max(n - 2, 2)),
+                BinarySeries(0b110, max(n - 2, 2)),
+            ),
+            n - 1,
+        )
+        if rev_low.rows != form_low.rows:
+            return report.fail(
+                _first_entry_diff("reversed-near-power-pair", n - 1, rev_low, form_low)
             )
-            if rev_low.rows != form_low.rows:
-                return report.fail(
-                    _first_entry_diff("reversed-near-power-pair", n - 1, rev_low, form_low)
-                )
 
         for i in range(1, n // 2 + 1):
             top = rev.rows[i - 1].bit_length()  # largest neighbor label of i
@@ -334,9 +353,7 @@ def verify_mixed_size(k: int, m: int, s: int, a: ASequence) -> VerificationRepor
     (diam = 2 or 3) and the two neighbor sets N(1) and N(2^k + 2^m)
     match their closed forms.
     """
-    if not (k > m >= 1) or s < 0:
-        raise UsageError(f"need k > m >= 1 and s >= 0, got k={k}, m={m}, s={s}")
-    n = 1 + (1 << m) + sum(1 << (k + j) for j in range(s + 1))
+    n = claim_order("mixed-size", k, m=m, s=s)
     _require_pattern(a, n)
     report = VerificationReport(
         "mixed-size", {"k": k, "m": m, "s": s, "n": n, "aseq": a.to_bitstring()}
@@ -386,11 +403,7 @@ def verify_mixed_size(k: int, m: int, s: int, a: ASequence) -> VerificationRepor
 
 def verify_monotonicity(a: ASequence, k: int, m_max: int) -> VerificationReport:
     """With s = diam(G_{2^k}), doubling the order m times adds at most m."""
-    if k < 2:
-        raise UsageError(f"need k >= 2, got {k}")
-    if m_max < 1:
-        raise UsageError(f"need m_max >= 1, got {m_max}")
-    top = 1 << (k + m_max)
+    top = claim_order("monotonicity", k, m_max=m_max)
     _require_pattern(a, top)
     report = VerificationReport(
         "monotonicity", {"aseq": a.to_bitstring(), "k": k, "m_max": m_max}
@@ -431,9 +444,7 @@ def verify_diameter_drop(a: ASequence, k: int) -> VerificationReport:
     neither applies (in particular for the all-ones sequence itself) the
     verdict is hypothesis-not-met.
     """
-    if k < 4:
-        raise UsageError(f"need k >= 4, got {k}")
-    n = 1 << k
+    n = claim_order("diameter-drop", k)
     _require_pattern(a, n)
     report = VerificationReport(
         "diameter-drop", {"aseq": a.to_bitstring(), "k": k, "n": n}

@@ -155,17 +155,15 @@ def _cmd_verify(args) -> int:
         elif claim == "fractal":
             a = _aseq(*descriptor, args.n)
             report = analysis.verify_fractal(a, args.s, args.alpha_max, args.n)
-        elif claim == "mixed-size":
-            n = 1 + (1 << args.m) + sum(1 << (args.k + j) for j in range(args.s + 1))
-            report = analysis.verify_mixed_size(
-                args.k, args.m, args.s, _aseq(*descriptor, n)
-            )
-        elif claim == "monotonicity":
-            a = _aseq(*descriptor, 1 << (args.k + args.mmax))
-            report = analysis.verify_monotonicity(a, args.k, args.mmax)
-        else:  # diameter-drop
-            a = _aseq(*descriptor, 1 << args.k)
-            report = analysis.verify_diameter_drop(a, args.k)
+        else:
+            n = analysis.claim_order(claim, args.k, m=args.m, s=args.s, m_max=args.mmax)
+            a = _aseq(*descriptor, n)
+            if claim == "mixed-size":
+                report = analysis.verify_mixed_size(args.k, args.m, args.s, a)
+            elif claim == "monotonicity":
+                report = analysis.verify_monotonicity(a, args.k, args.mmax)
+            else:  # diameter-drop
+                report = analysis.verify_diameter_drop(a, args.k)
     print(report.to_line())
     for note in report.notes:
         print(f"# {note}")

@@ -14,7 +14,6 @@ A-sequence literals are bit strings with a_0 first, e.g. "1100000".
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence, Union
 
 from .binseries import BinarySeries, named_series
@@ -26,7 +25,6 @@ __all__ = [
     "RiordanPair",
     "a_sequence",
     "bell_matrix_from_aseq",
-    "binom_mod_p",
     "catalan_bit",
     "catalan_pair",
     "g_from_aseq",
@@ -42,40 +40,6 @@ def catalan_bit(n: int) -> int:
     if n < 0:
         raise UsageError(f"index must be nonnegative, got {n}")
     return 1 if (n + 1) & n == 0 else 0
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
-def binom_mod_p(n: int, m: int, p: int) -> int:
-    """Binomial coefficient C(n, m) mod a prime p via base-p digits."""
-    if not _is_prime(p):
-        raise UsageError(f"modulus must be prime, got {p}")
-    if n < 0 or m < 0:
-        raise UsageError("binomial arguments must be nonnegative")
-    if m > n:
-        return 0
-    out = 1
-    while m:
-        nd, md = n % p, m % p
-        if md > nd:
-            return 0
-        out = out * math.comb(nd, md) % p
-        n //= p
-        m //= p
-    return out
 
 
 class ASequence:

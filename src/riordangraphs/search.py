@@ -16,7 +16,8 @@ import os
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterator, Optional, Sequence
+from operator import attrgetter
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import ScaleError, UsageError
 from .riordan import ASequence
@@ -173,6 +174,33 @@ def _diameters(
         return pool.map(work, bits, chunksize=-(-len(bits) // procs))
 
 
+def _scan(
+    sequences: Sequence[ASequence],
+    n_max: int,
+    orders: Sequence[int],
+    jobs: int,
+    verdict: Callable[[str, int, int], str],
+) -> tuple[list[SearchRecord], dict[int, int]]:
+    """One record per (order, sequence), sorted by (n, aseq), and the
+    Pascal reference diameters.  Bell diameters come from `_diameters`,
+    the references from the prefixes of CG and PG of order `n_max`;
+    `verdict(aseq, diam, diam_catalan)` rates each record."""
+    ref_catalan = _prefix_diameters(catalan_graph(n_max), orders)
+    ref_pascal = _prefix_diameters(pascal_graph(n_max), orders)
+    results = _diameters(sequences, n_max, orders, jobs)
+    records = [
+        SearchRecord(
+            n, name, d, ref_catalan[n], ref_pascal[n], verdict(name, d, ref_catalan[n])
+        )
+        for name, diams in zip(map(ASequence.to_bitstring, sequences), results)
+        for n, d in zip(orders, diams)
+    ]
+    # two stable sorts give (n, aseq) order without a key tuple per record
+    records.sort(key=attrgetter("aseq"))
+    records.sort(key=attrgetter("n"))
+    return records, ref_pascal
+
+
 # -- scans --------------------------------------------------------------------
 
 def scan_conjecture1(
@@ -214,38 +242,24 @@ def scan_conjecture1(
                 )
         _guard((len(sequences) + 2) * work, budget)
 
-    ref_catalan = _prefix_diameters(catalan_graph(n_max), orders)
-    ref_pascal = _prefix_diameters(pascal_graph(n_max), orders)
-
-    results = _diameters(sequences, n_max, orders, jobs)
-
-    report = ConjectureReport(
+    records, ref_pascal = _scan(
+        sequences, n_max, orders, jobs,
+        lambda name, d, d_catalan: UPPER if d > d_catalan else LOWER if d < 2 else WITHIN,
+    )
+    off_two = {r.aseq for r in records if r.diam != 2}
+    return ConjectureReport(
         "1",
         {"n_max": n_max, "sequences": len(sequences)},
+        records,
+        {
+            "diameter2_everywhere": [
+                name
+                for name in map(ASequence.to_bitstring, sequences)
+                if name not in off_two and name.rstrip("0") != "11"  # not Pascal
+            ],
+            "pascal_reference": ref_pascal,
+        },
     )
-    diameter2 = []
-    for a, diams in zip(sequences, results):
-        name = a.to_bitstring()
-        always_two = True
-        for n, d in zip(orders, diams):
-            if d > ref_catalan[n]:
-                verdict = UPPER
-            elif d < 2:
-                verdict = LOWER
-            else:
-                verdict = WITHIN
-            if d != 2:
-                always_two = False
-            report.records.append(
-                SearchRecord(n, name, d, ref_catalan[n], ref_pascal[n], verdict)
-            )
-        is_pascal = a.bits[:2] == (1, 1) and not any(a.bits[2:])
-        if always_two and not is_pascal:
-            diameter2.append(name)
-    report.records.sort(key=lambda r: (r.n, r.aseq))
-    report.extras["diameter2_everywhere"] = diameter2
-    report.extras["pascal_reference"] = ref_pascal
-    return report
 
 
 def scan_conjecture2(
@@ -289,12 +303,13 @@ def scan_conjecture2(
             seen.add(rng.getrandbits(frees))
         sequences = [_io_aseq(value, length) for value in sorted(seen)]
 
-    ref_catalan = catalan_graph(n).diameter()
-    ref_pascal = pascal_graph(n).diameter()
-
-    results = _diameters(sequences, n, [n], jobs)
-
-    report = ConjectureReport(
+    ones = "1" * length
+    records, _ = _scan(
+        sequences, n, [n], jobs,
+        lambda name, d, _: UPPER if d == k and name != ones else WITHIN,
+    )
+    attainers = [r.aseq for r in records if r.diam == k]
+    return ConjectureReport(
         "2",
         {
             "k": k,
@@ -302,22 +317,9 @@ def scan_conjecture2(
             "sequences": len(sequences),
             "exhaustive": exhaustive,
         },
+        records,
+        {"attainers": attainers, "all_ones_attains": ones in attainers},
     )
-    ones = "1" * length
-    attainers = []
-    for a, (diam,) in zip(sequences, results):
-        name = a.to_bitstring()
-        attains = diam == k
-        if attains:
-            attainers.append(name)
-        verdict = UPPER if attains and name != ones else WITHIN
-        report.records.append(
-            SearchRecord(n, name, diam, ref_catalan, ref_pascal, verdict)
-        )
-    report.records.sort(key=lambda r: r.aseq)
-    report.extras["attainers"] = sorted(attainers)
-    report.extras["all_ones_attains"] = ones in attainers
-    return report
 
 
 def mixed_size_orders(n_max: int) -> list[tuple[int, int, int, int]]:
@@ -376,10 +378,9 @@ def reproduce_counterexamples(n_max: int = 100) -> list[tuple[int, int, int]]:
     """Rows (n, diam(CG_n), diam(G_n)) where the sixteen-ones family
     exceeds the Catalan diameter, for 4 <= n <= n_max."""
     orders = range(4, n_max + 1)
-    a = counterexample_family(max(n_max - 1, 16))
-    fam = _prefix_diameters(build_bell_aseq(a, n_max), orders)
+    (fam,) = _diameters([counterexample_family(max(n_max - 1, 16))], n_max, orders, jobs=1)
     cat = _prefix_diameters(catalan_graph(n_max), orders)
-    return [(n, cat[n], fam[n]) for n in orders if fam[n] > cat[n]]
+    return [(n, cat[n], d) for n, d in zip(orders, fam) if d > cat[n]]
 
 
 @dataclass
@@ -407,9 +408,15 @@ class TableReproduction:
 
 def _reproduce_table(
     name: str,
-    computed: list[tuple[str, int]],
+    sequences: list[ASequence],
+    n: int,
     printed: list[tuple[str, int]],
 ) -> TableReproduction:
+    """Diameters of the order-`n` graphs of `sequences` against print."""
+    computed = [
+        (a.to_bitstring(), d)
+        for a, (d,) in zip(sequences, _diameters(sequences, n, [n], jobs=1))
+    ]
     printed_by_seq: dict[str, list[int]] = {}
     for seq, diam in printed:
         printed_by_seq.setdefault(seq, []).append(diam)
@@ -446,16 +453,8 @@ def reproduce_tables() -> tuple[TableReproduction, TableReproduction]:
     """
     from .golden import printed_table1, printed_table2
 
-    computed1 = [
-        (a.to_bitstring(), build_bell_aseq(a, 8).diameter())
-        for a in enumerate_io_aseqs(7)
-    ]
-    computed2 = [
-        (a.to_bitstring(), build_bell_aseq(a, 16).diameter())
-        for a in enumerate_io_aseqs(15)
-        if a.bits[:6] == (1, 1, 1, 1, 1, 1)
-    ]
+    six_ones = [a for a in enumerate_io_aseqs(15) if a.bits[:6] == (1, 1, 1, 1, 1, 1)]
     return (
-        _reproduce_table("diam8", computed1, printed_table1()),
-        _reproduce_table("diam16", computed2, printed_table2()),
+        _reproduce_table("diam8", list(enumerate_io_aseqs(7)), 8, printed_table1()),
+        _reproduce_table("diam16", six_ones, 16, printed_table2()),
     )

@@ -122,20 +122,27 @@ def bell_graph_adj(bits, n):
     return adj
 
 
+def io_bit_tuples(length):
+    """Every io pattern (1, 1, a2, a2, a4, a4, ...) of `length` as a tuple
+    of int bits, in lexicographic order.  Brute force over all bit tuples;
+    a trailing unpaired slot is free."""
+    return [
+        bits
+        for bits in product([0, 1], repeat=length)
+        if bits[:2] == (1, 1)
+        and all(bits[p] == bits[p + 1] for p in range(2, length - 1, 2))
+    ]
+
+
 def extremal_io_attainers(k):
-    """Every io pattern (1, 1, a2, a2, a4, a4, ...) of length 2^k - 1 whose
-    order-2^k Bell graph has diameter k, as bit strings.  Brute force over
-    all bit tuples; a trailing unpaired slot is free."""
+    """Every io pattern of length 2^k - 1 whose order-2^k Bell graph has
+    diameter k, as bit strings."""
     n = 1 << k
-    length = n - 1
-    found = []
-    for bits in product([0, 1], repeat=length):
-        io = bits[:2] == (1, 1) and all(
-            bits[p] == bits[p + 1] for p in range(2, length - 1, 2)
-        )
-        if io and diameter_oracle(bell_graph_adj(bits, n)) == k:
-            found.append("".join(map(str, bits)))
-    return found
+    return [
+        "".join(map(str, bits))
+        for bits in io_bit_tuples(n - 1)
+        if diameter_oracle(bell_graph_adj(bits, n)) == k
+    ]
 
 
 def adj_sets(G):

@@ -217,6 +217,10 @@ def test_usage_exit_codes(capsys):
         # conflicting descriptors
         ["scan", "1", "--alen", "9", "--aseq", "11", "--nmax", "8"],
         ["scan", "1", "--aseq-ones", "4", "--aseq", "11", "--nmax", "8"],
+        # orders derived only after the claim's range checks
+        ["verify", "monotonicity", "--family", "catalan", "--k", "-5", "--mmax", "1"],
+        ["verify", "diameter-drop", "--family", "catalan", "--k", "-1"],
+        ["verify", "mixed-size", "--family", "catalan", "--k", "3", "--m", "-1", "--s", "0"],
     ],
 )
 def test_bad_input_exit2_one_line(capsys, argv):

@@ -13,7 +13,6 @@ from riordangraphs.riordan import (
     ASequence,
     a_sequence,
     bell_matrix_from_aseq,
-    binom_mod_p,
     catalan_bit,
     catalan_pair,
     g_from_aseq,
@@ -39,35 +38,6 @@ def test_catalan_bit_against_exact_integers():
     cat = catalan_ints(512)
     for n in range(512):
         assert catalan_bit(n) == cat[n] & 1
-
-
-def test_binom_mod_p_examples():
-    assert binom_mod_p((1 << 4) + 5 - 1, (1 << 4) - 1, 2) == 0
-    assert binom_mod_p(17, 0, 7) == 1
-    assert binom_mod_p(3, 5, 2) == 0
-    with pytest.raises(UsageError):
-        binom_mod_p(5, 2, 4)
-    with pytest.raises(UsageError):
-        binom_mod_p(-1, 0, 2)
-
-
-def test_binom_mod_p_against_exact():
-    for n in range(65):
-        for m in range(65):
-            assert binom_mod_p(n, m, 2) == math.comb(n, m) % 2
-    for n in range(0, 81, 7):
-        for m in range(0, n + 1, 3):
-            assert binom_mod_p(n, m, 3) == math.comb(n, m) % 3
-            assert binom_mod_p(n, m, 5) == math.comb(n, m) % 5
-
-
-def test_lucas_subset_rule():
-    for n in range(1 << 10):
-        for m in (0, 1, n >> 1, n, n | 1):
-            if m > n:
-                continue
-            expected = 1 if (m & n) == m else 0
-            assert binom_mod_p(n, m, 2) == expected
 
 
 def test_aseq_literal_and_validation():

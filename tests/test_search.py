@@ -16,7 +16,13 @@ from riordangraphs.search import (
     scan_conjecture3,
 )
 
-from oracles import adj_sets, diameter_oracle, extremal_io_attainers
+from oracles import (
+    adj_sets,
+    bell_graph_adj,
+    diameter_oracle,
+    extremal_io_attainers,
+    io_bit_tuples,
+)
 
 
 # -- enumeration ------------------------------------------------------------
@@ -209,6 +215,65 @@ def test_scan3_examples():
     assert by_n[29].diam == 4  # s + 3 with m = 2
     with pytest.raises(UsageError):
         scan_conjecture3(4)
+
+
+# -- one record path, every row against the package-free oracle ---------------
+
+def _oracle_diam(bits, n):
+    return diameter_oracle(bell_graph_adj(bits, n))
+
+
+def _oracle_catalan(n):
+    return _oracle_diam((1,) * (n - 1), n)
+
+
+def _oracle_pascal(n):
+    return _oracle_diam((1, 1) + (0,) * (n - 3), n)
+
+
+def _fields(report):
+    return [
+        (r.n, r.aseq, r.diam, r.diam_catalan, r.diam_pascal, r.verdict)
+        for r in report.records
+    ]
+
+
+def test_scan1_rows_and_extras_against_oracle():
+    report = scan_conjecture1(8, a_len=7)
+    seqs = {"".join(map(str, bits)): bits for bits in io_bit_tuples(7)}
+    diam = {(n, name): _oracle_diam(bits, n) for name, bits in seqs.items() for n in range(4, 9)}
+    want = []
+    for n, name in sorted(diam):
+        d, cat = diam[n, name], _oracle_catalan(n)
+        verdict = "upper-violation" if d > cat else "lower-violation" if d < 2 else "within-bounds"
+        want.append((n, name, d, cat, _oracle_pascal(n), verdict))
+    assert _fields(report) == want
+    assert report.extras["diameter2_everywhere"] == [
+        name
+        for name in seqs
+        if name != "1100000" and all(diam[n, name] == 2 for n in range(4, 9))
+    ]
+    assert report.extras["pascal_reference"] == {n: _oracle_pascal(n) for n in range(4, 9)}
+
+
+def test_scan2_rows_and_extras_against_oracle():
+    report = scan_conjecture2(4)
+    want = []
+    for bits in io_bit_tuples(15):
+        name, d = "".join(map(str, bits)), _oracle_diam(bits, 16)
+        verdict = "upper-violation" if d == 4 and name != "1" * 15 else "within-bounds"
+        want.append((16, name, d, _oracle_catalan(16), _oracle_pascal(16), verdict))
+    assert _fields(report) == want
+    attainers = [name for _, name, d, *_ in want if d == 4]
+    assert report.extras["attainers"] == attainers
+    assert report.extras["all_ones_attains"] == ("1" * 15 in attainers)
+
+
+def test_scan1_no_sequences_keeps_the_pascal_reference():
+    report = scan_conjecture1(8, sequences=[])
+    assert report.records == []
+    assert report.extras["diameter2_everywhere"] == []
+    assert report.extras["pascal_reference"] == {4: 2, 5: 2, 6: 2, 7: 2, 8: 2}
 
 
 # -- table reproduction -------------------------------------------------------------
