@@ -10,7 +10,6 @@ the witness when failing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .binseries import BinarySeries
@@ -35,16 +34,17 @@ FAIL = "fail"
 NOT_APPLICABLE = "hypothesis-not-met"
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one claim check: verdict plus a replayable witness on failure."""
 
-    claim: str
-    params: dict
-    verdict: str = PASS
-    witness: Optional[dict] = None
-    checks: int = 0
-    notes: list = field(default_factory=list)
+    def __init__(self, claim: str, params: dict, verdict: str = PASS,
+                 witness: Optional[dict] = None, checks: int = 0, notes=None):
+        self.claim = claim
+        self.params = params
+        self.verdict = verdict
+        self.witness = witness
+        self.checks = checks
+        self.notes = [] if notes is None else notes
 
     @property
     def passed(self) -> bool:

@@ -16,8 +16,9 @@ import argparse
 import os
 import sys
 
-from . import analysis, search
-from .errors import DisconnectedError, RiordanError, UsageError
+# analysis, search and golden are imported by the commands that run them,
+# so that every other command starts without them
+from .errors import DEFAULT_BUDGET, DisconnectedError, RiordanError, UsageError
 from .riordan import ASequence
 from .rgraph import (
     Graph,
@@ -25,17 +26,12 @@ from .rgraph import (
     catalan_graph,
     pascal_graph,
 )
-from .golden import (
-    printed_cg6,
-    printed_cg8_reverse,
-    printed_counterexamples,
-)
 
 FAMILIES = ("catalan", "pascal")
-# reproduce target -> (Catalan order, reversed labels, printed matrix)
+# reproduce target -> (Catalan order, reversed labels, golden printer)
 MATRICES = {
-    "figure1": (6, False, printed_cg6),
-    "example-cg8r": (8, True, printed_cg8_reverse),
+    "figure1": (6, False, "printed_cg6"),
+    "example-cg8r": (8, True, "printed_cg8_reverse"),
 }
 
 
@@ -144,6 +140,8 @@ def _cmd_metric(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import analysis
+
     claim = args.claim
     if claim == "catalan-diameters":
         report = analysis.verify_catalan_diameters(args.kmax)
@@ -171,6 +169,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from . import search
+
     jobs = args.jobs
     if jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
@@ -221,10 +221,22 @@ def _diff_matrix(computed: list[str], printed: list[str]) -> list[str]:
 
 
 def _cmd_reproduce(args) -> int:
+    from . import golden
+
     target = args.target
+    if target in MATRICES:
+        order, reverse, printer = MATRICES[target]
+        G = catalan_graph(order)
+        computed = (G.reverse_direct() if reverse else G).to_matrix_lines()
+        want = getattr(golden, printer)()
+        for line in computed + _diff_matrix(computed, want):
+            print(line)
+        return 0 if computed == want else 1
+    from . import search
+
     if target == "counterexamples":
         rows = search.reproduce_counterexamples()
-        printed = printed_counterexamples()
+        printed = golden.printed_counterexamples()
         print("n,diam_catalan,diam_g")
         for row in rows:
             print(",".join(map(str, row)))
@@ -232,14 +244,6 @@ def _cmd_reproduce(args) -> int:
         print(f"# {'match' if ok else 'MISMATCH'} against printed table "
               f"({len(rows)} rows)", file=sys.stderr)
         return 0 if ok else 1
-    if target in MATRICES:
-        order, reverse, printed = MATRICES[target]
-        G = catalan_graph(order)
-        computed = (G.reverse_direct() if reverse else G).to_matrix_lines()
-        want = printed()
-        for line in computed + _diff_matrix(computed, want):
-            print(line)
-        return 0 if computed == want else 1
     t1, t2 = search.reproduce_tables()
     table = t1 if target == "table1" else t2
     print("aseq,diam,status,printed")
@@ -315,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--violations-only", action="store_true")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("reproduce", help="recompute a published artifact and diff it")

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the budget ScaleError guards."""
+
+DEFAULT_BUDGET = 10**8  # estimated vertex visits a scan may run before ScaleError
 
 
 class RiordanError(Exception):

@@ -13,8 +13,7 @@ builders only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .binseries import BinarySeries
 from .errors import (
@@ -51,8 +50,7 @@ __all__ = [
 DEFAULT_CLIQUE_CAP = 64
 
 
-@dataclass(frozen=True)
-class DistanceReport:
+class DistanceReport(NamedTuple):
     """BFS distances from one source; None marks unreachable vertices."""
 
     source: int

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import ScaleError, UsageError
+from .errors import DEFAULT_BUDGET, ScaleError, UsageError
 from .riordan import ASequence
 from .rgraph import Graph, build_bell_aseq, catalan_graph, pascal_graph
 
@@ -37,7 +36,6 @@ __all__ = [
     "scan_conjecture3",
 ]
 
-DEFAULT_BUDGET = 10**8
 EXHAUSTIVE_MAX_K = 5  # scan 2 enumerates every pattern up to k = 5, samples beyond
 
 WITHIN = "within-bounds"
@@ -45,8 +43,7 @@ UPPER = "upper-violation"
 LOWER = "lower-violation"
 
 
-@dataclass(frozen=True)
-class SearchRecord:
+class SearchRecord(NamedTuple):
     """One diameter datum from a scan."""
 
     n: int
@@ -63,14 +60,14 @@ class SearchRecord:
 CSV_HEADER = "n,aseq,diam,diam_catalan,diam_pascal,verdict"
 
 
-@dataclass
 class ConjectureReport:
     """Outcome of one conjecture scan."""
 
-    conjecture: str
-    params: dict
-    records: list = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
+    def __init__(self, conjecture: str, params: dict, records=None, extras=None):
+        self.conjecture = conjecture
+        self.params = params
+        self.records = [] if records is None else records
+        self.extras = {} if extras is None else extras
 
     @property
     def violations(self) -> list:
@@ -383,16 +380,14 @@ def reproduce_counterexamples(n_max: int = 100) -> list[tuple[int, int, int]]:
     return [(n, cat[n], d) for n, d in zip(orders, fam) if d > cat[n]]
 
 
-@dataclass
-class TableRow:
+class TableRow(NamedTuple):
     aseq: str
     diam: int
     status: str  # match | conflicting-print | mismatch | absent-from-print
     printed: tuple[int, ...]
 
 
-@dataclass
-class TableReproduction:
+class TableReproduction(NamedTuple):
     """Recomputed table next to its printed version, with anomaly notes."""
 
     name: str

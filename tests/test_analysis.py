@@ -232,6 +232,10 @@ def test_report_lines():
     assert line.startswith("catalan-diameters [k_max=2] pass")
     report = verify_structural(aseq_ones(15), 16)
     assert "aseq=" in report.to_line()
+    # each report has its own notes
+    a, b = analysis.VerificationReport("x", {}), analysis.VerificationReport("x", {})
+    a.notes.append("n")
+    assert b.notes == [] and b.verdict == analysis.PASS and b.witness is None
 
 
 def test_failed_report_carries_replayable_witness():

@@ -244,6 +244,39 @@ def test_closed_stdout_exit2():
     assert "Traceback" not in err
 
 
+# modules a command must not load unless it runs them
+HEAVY = {"riordangraphs.analysis", "riordangraphs.search", "riordangraphs.golden",
+         "dataclasses", "inspect", "multiprocessing"}
+FOOTPRINT = """
+import contextlib, io, sys
+before = set(sys.modules)
+from riordangraphs import cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        cli.main(sys.argv[1:])
+print(" ".join(set(sys.modules) - before))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        ([], set()),
+        (["graph", "--aseq", "10", "-n", "5"], set()),
+        (["scan", "2", "-k", "3", "--jobs", "1"], {"riordangraphs.search"}),
+        (["verify", "fractal", "--family", "catalan", "--s", "3", "--n", "33"],
+         {"riordangraphs.analysis"}),
+        (["reproduce", "figure1"], {"riordangraphs.golden"}),
+    ],
+)
+def test_import_footprint(argv, loads):
+    # a fresh interpreter, so that no other test has imported these yet
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) & HEAVY == loads
+
+
 def test_console_entry_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "riordangraphs", "metric", "--family", "catalan",

@@ -3,9 +3,11 @@ import pytest
 from riordangraphs.errors import ScaleError, UsageError
 from riordangraphs.golden import printed_counterexamples
 from riordangraphs.riordan import ASequence, is_io_pattern
-from riordangraphs.rgraph import build_bell_aseq, catalan_graph
+from riordangraphs.rgraph import DistanceReport, build_bell_aseq, catalan_graph
 from riordangraphs.search import (
     CSV_HEADER,
+    ConjectureReport,
+    SearchRecord,
     counterexample_family,
     enumerate_io_aseqs,
     mixed_size_orders,
@@ -187,6 +189,21 @@ def test_scan2_jobs_clamped_to_cpu_count(monkeypatch):
     a = scan_conjecture2(3, jobs=1)
     b = scan_conjecture2(3, jobs=10**6)
     assert [r.to_csv() for r in a.records] == [r.to_csv() for r in b.records]
+
+
+def test_record_types_keep_their_api():
+    rec = SearchRecord(8, "1100000", 2, 3, 2, "within-bounds")
+    fields = ("n", "aseq", "diam", "diam_catalan", "diam_pascal", "verdict")
+    assert [getattr(rec, f) for f in fields] == [8, "1100000", 2, 3, 2, "within-bounds"]
+    assert rec.to_csv() == "8,1100000,2,3,2,within-bounds"
+    assert rec == SearchRecord(8, "1100000", 2, 3, 2, "within-bounds")
+    assert rec != SearchRecord(8, "1100000", 3, 3, 2, "within-bounds")
+    a, b = ConjectureReport("3", {}), ConjectureReport("3", {})
+    a.records.append(rec)
+    a.extras["x"] = 1
+    assert b.records == [] and b.extras == {}
+    assert a.violations == [] and a.passed
+    assert DistanceReport(1, (0, None)).distance(2) is None
 
 
 def test_scan2_csv_shape():
