@@ -40,7 +40,6 @@ from .riordan import (
 from .rgraph import (
     DistanceReport,
     Graph,
-    RiordanGraph,
     build,
     build_bell_aseq,
     catalan_graph,
@@ -64,7 +63,6 @@ __all__ = [
     "PatternError",
     "PrecisionError",
     "RiordanError",
-    "RiordanGraph",
     "RiordanPair",
     "ScaleError",
     "UsageError",

@@ -15,7 +15,7 @@ from typing import Optional
 from .binseries import BinarySeries
 from .errors import IoViolationError, LengthError, PatternError, UsageError
 from .riordan import ASequence, RiordanPair, io_pattern_extend, is_io_pattern
-from .rgraph import Graph, build, build_bell_aseq, catalan_graph
+from .rgraph import DEFAULT_CLIQUE_CAP, Graph, build, build_bell_aseq, catalan_graph
 
 __all__ = [
     "VerificationReport",
@@ -96,7 +96,7 @@ def claim_order(claim: str, k: int, m: int = 1, s: int = 0, m_max: int = 1) -> i
 # ---------------------------------------------------------------------------
 
 def check_structural_order(
-    G: Graph, clique_cap: int = 64
+    G: Graph, clique_cap: int = DEFAULT_CLIQUE_CAP
 ) -> Optional[dict]:
     """Check the io structural facts on one graph; return a witness or None.
 
@@ -184,7 +184,7 @@ def check_fractal_window(G: Graph, s: int, alpha: int) -> Optional[dict]:
     step = 1 << s
     lo = alpha * step + 1
     for size in (step + 1, step):
-        lead = G.induced(list(range(1, size + 1)))
+        lead = G.induced_prefix(size)
         window = G.induced(list(range(lo, lo + size)))
         diff = _first_diff(lead.rows, window.rows)
         if diff is not None:
@@ -216,7 +216,7 @@ def _require_pattern(a: ASequence, order: int) -> None:
 
 
 def verify_structural(
-    a: ASequence, n_max: int, clique_cap: int = 64
+    a: ASequence, n_max: int, clique_cap: int = DEFAULT_CLIQUE_CAP
 ) -> VerificationReport:
     """Universal vertex, coloring, clique and diameter bounds for all n <= n_max."""
     _require_pattern(a, n_max)
@@ -292,7 +292,7 @@ def verify_catalan_diameters(k_max: int) -> VerificationReport:
         if witness is not None:
             return report.fail(witness)
 
-        low = catalan_graph(n - 1)
+        low = CG.induced_prefix(n - 1)
         got = low.diameter()
         if got != k - 1:
             return report.fail(

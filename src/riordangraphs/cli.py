@@ -21,6 +21,7 @@ import sys
 from .errors import DEFAULT_BUDGET, DisconnectedError, RiordanError, UsageError
 from .riordan import ASequence
 from .rgraph import (
+    DEFAULT_CLIQUE_CAP,
     Graph,
     build_bell_aseq,
     catalan_graph,
@@ -104,12 +105,7 @@ def _cmd_metric(args) -> int:
     G = _graph_from_args(args, args.n)
     metric = args.metric[0]
     if metric == "diameter":
-        try:
-            print(G.diameter())
-        except DisconnectedError as e:
-            print(f"disconnected: no path between {e.pair[0]} and {e.pair[1]}",
-                  file=sys.stderr)
-            return 1
+        print(G.diameter())
     elif metric == "distance":
         if len(args.metric) != 3:
             raise UsageError("usage: metric ... distance U V")
@@ -280,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metric", help="diameter, distance, clique, colors, universal")
     _add_descriptor(p)
     p.add_argument("metric", nargs="+", help="diameter | distance U V | clique | colors | universal")
-    p.add_argument("--clique-cap", type=int, default=64)
+    p.add_argument("--clique-cap", type=int, default=DEFAULT_CLIQUE_CAP)
     p.set_defaults(func=_cmd_metric)
 
     p = sub.add_parser("verify", help="run one claim verifier")

@@ -3,7 +3,9 @@
 A Riordan graph of order n has vertices labelled 1..n and, below the
 diagonal, adjacency r(i, j) = [z^(i-2)] g * f^(j-1) mod 2; the matrix is
 symmetrized with a zero diagonal.  Bell-type graphs (f = zg) can instead
-be grown from a binary A-sequence.
+be grown from a binary A-sequence.  Since r(i, j) does not depend on n,
+the graph of order m of a pair is the leading m x m block of every
+larger graph of that pair, which `Graph.induced_prefix` takes.
 
 Adjacency is stored as bit rows: bit j-1 of rows[i-1] says whether
 vertices i and j are adjacent.  Vertices are 1-based everywhere in this
@@ -39,7 +41,6 @@ from .riordan import (
 __all__ = [
     "DistanceReport",
     "Graph",
-    "RiordanGraph",
     "build",
     "build_bell_aseq",
     "catalan_graph",
@@ -93,9 +94,6 @@ class Graph:
     def neighbors(self, v: int) -> set[int]:
         """Adjacency row of v as a set of vertex labels."""
         return {b + 1 for b in _iter_bits(self.rows[self._check_vertex(v)])}
-
-    def degree(self, v: int) -> int:
-        return self.rows[self._check_vertex(v)].bit_count()
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
@@ -217,6 +215,21 @@ class Graph:
         self._check_vertex(n)
         mask = (1 << n) - 1
         return Graph(n, [r & mask for r in self.rows[:n]])
+
+    def is_io_decomposable_by_definition(self) -> bool:
+        """Even vertices induce a null graph and odd vertices induce the
+        half-size graph of the same source (labels order-preserving).
+
+        That half-size graph is the leading block of order ceil(n/2), as
+        for any smaller graph of the same pair, so this is the paper's
+        definition checked on adjacency alone."""
+        n = self.n
+        evens = range(2, n + 1, 2)
+        even_mask = sum(1 << (v - 1) for v in evens)
+        if any(self.rows[v - 1] & even_mask for v in evens):
+            return False
+        odds = self.induced(range(1, n + 1, 2))
+        return odds == self.induced_prefix((n + 1) // 2)
 
     def reverse_direct(self) -> "Graph":
         """Relabel vertex i as n+1-i by permuting the adjacency matrix."""
@@ -348,61 +361,29 @@ class Graph:
         return f"{type(self).__name__}(n={self.n}, edges={self.edge_count()})"
 
 
-class RiordanGraph(Graph):
-    """A Graph that remembers the Riordan pair or A-sequence it was built from."""
-
-    __slots__ = ("source",)
-
-    def __init__(self, n: int, rows: Sequence[int], source: RiordanPair | ASequence):
-        super().__init__(n, rows)
-        self.source = source
-
-    def rebuild(self, m: int) -> "RiordanGraph":
-        """Same source at a different (not larger) order."""
-        if isinstance(self.source, RiordanPair):
-            return build(self.source, m)
-        return build_bell_aseq(self.source, m)
-
-    def is_io_decomposable_by_definition(self) -> bool:
-        """Even vertices induce a null graph and odd vertices induce the
-        half-size graph of the same source (labels order-preserving)."""
-        n = self.n
-        evens = list(range(2, n + 1, 2))
-        if evens:
-            even_mask = sum(1 << (v - 1) for v in evens)
-            for v in evens:
-                if self.rows[v - 1] & even_mask:
-                    return False
-        odds = list(range(1, n + 1, 2))
-        half = self.rebuild((n + 1) // 2)
-        return self.induced(odds).rows == half.rows
-
-
-def _from_triangle(
-    tri_rows: Sequence[int], source: RiordanPair | ASequence
-) -> RiordanGraph:
+def _from_triangle(tri_rows: Sequence[int]) -> Graph:
     """Graph whose vertex i has triangle row i-2 as its neighbours j < i."""
     rows = [0, *tri_rows]
     for i, below in enumerate(tri_rows, start=1):
         for j in _iter_bits(below):
             rows[j] |= 1 << i
-    return RiordanGraph(len(rows), rows, source)
+    return Graph(len(rows), rows)
 
 
-def build(pair: RiordanPair, n: int) -> RiordanGraph:
+def build(pair: RiordanPair, n: int) -> Graph:
     """Riordan graph of order n: r(i, j) = [z^(i-2)] g f^(j-1) for i > j."""
     if n < 1:
         raise UsageError(f"graph order must be positive, got {n}")
     if n == 1:
-        return RiordanGraph(1, [0], pair)
+        return Graph(1, [0])
     if pair.precision < n - 1:
         raise PrecisionError(
             f"pair precision {pair.precision} too small for graph order {n}"
         )
-    return _from_triangle(riordan_matrix(pair, n - 1).rows, pair)
+    return _from_triangle(riordan_matrix(pair, n - 1).rows)
 
 
-def build_bell_aseq(a: ASequence, n: int) -> RiordanGraph:
+def build_bell_aseq(a: ASequence, n: int) -> Graph:
     """Bell-type Riordan graph grown from a binary A-sequence.
 
     The order-n graph reads triangle rows 0..n-2, so it needs the prefix
@@ -411,25 +392,25 @@ def build_bell_aseq(a: ASequence, n: int) -> RiordanGraph:
     if n < 1:
         raise UsageError(f"graph order must be positive, got {n}")
     if n == 1:
-        return RiordanGraph(1, [0], a)
+        return Graph(1, [0])
     if len(a) < n - 1:
         raise LengthError(
             f"order {n} needs an A-sequence of length {n - 1}, got {len(a)}"
         )
-    return _from_triangle(bell_matrix_from_aseq(a, n - 1).rows, a)
+    return _from_triangle(bell_matrix_from_aseq(a, n - 1).rows)
 
 
-def catalan_graph(n: int) -> RiordanGraph:
+def catalan_graph(n: int) -> Graph:
     """CG_n, the Riordan graph of (C, zC)."""
     return build(catalan_pair(max(n - 1, 1)), n)
 
 
-def pascal_graph(n: int) -> RiordanGraph:
+def pascal_graph(n: int) -> Graph:
     """PG_n, the Riordan graph of (1/(1-z), z/(1-z))."""
     return build(pascal_pair(max(n - 1, 1)), n)
 
 
-def reverse_formula(a: ASequence, n: int) -> RiordanGraph:
+def reverse_formula(a: ASequence, n: int) -> Graph:
     """Reverse relabelling of a Bell-type io graph, via its A-sequence.
 
     Builds the pair (A'(z) * A(z)^(n-2), z / A(z)) directly; for io

@@ -147,10 +147,10 @@ def _prefix_diameters(full: Graph, orders: Sequence[int]) -> dict[int, int]:
     }
 
 
-def _sequence_diameters(bits: tuple, n_max: int, orders: Sequence[int]) -> tuple[int, ...]:
+def _sequence_diameters(a: ASequence, n_max: int, orders: Sequence[int]) -> tuple[int, ...]:
     # module level so that it pickles for the pool; a tuple, not a dict,
     # keeps the results of an exhaustive scan small
-    full = build_bell_aseq(ASequence(bits), n_max)
+    full = build_bell_aseq(a, n_max)
     return tuple(_prefix_diameters(full, orders).values())
 
 
@@ -161,14 +161,13 @@ def _diameters(
     sequence order, on at most min(jobs, cpu count, len(sequences))
     processes."""
     work = partial(_sequence_diameters, n_max=n_max, orders=orders)
-    bits = [a.bits for a in sequences]
-    procs = min(jobs, os.cpu_count() or 1, len(bits))
+    procs = min(jobs, os.cpu_count() or 1, len(sequences))
     if procs <= 1:
-        return [work(b) for b in bits]
+        return [work(a) for a in sequences]
     from multiprocessing import Pool
 
     with Pool(processes=procs) as pool:
-        return pool.map(work, bits, chunksize=-(-len(bits) // procs))
+        return pool.map(work, sequences, chunksize=-(-len(sequences) // procs))
 
 
 def _scan(

@@ -1,15 +1,13 @@
 """Independent oracles the tests check the library against.
 
 Everything here recomputes from first principles with plain lists,
-exact big integers, numpy dot products or dict-of-set graphs -- never
-through the package's bit-packed code paths.
+exact big integers or dict-of-set graphs -- never through the package's
+bit-packed code paths.  Only the standard library is used.
 """
 
 from collections import deque
 from itertools import combinations, product
 import math
-
-import numpy as np
 
 
 # -- series ---------------------------------------------------------------
@@ -54,12 +52,15 @@ def catalan_ints(n):
 
 
 def catalan_parity_funceq(n):
-    """Catalan parities grown from C = 1 + z*C^2, literal convolution."""
-    c = np.zeros(n, dtype=np.int64)
-    c[0] = 1
+    """Catalan parities grown from C = 1 + z*C^2, literal convolution
+    c[m] = sum c[i] c[m-1-i] mod 2, its zero terms skipped."""
+    c = [1] + [0] * (n - 1)
+    ones = [0]  # the i < m with c[i] = 1
     for m in range(1, n):
-        c[m] = int(np.dot(c[:m], c[m - 1 :: -1])) & 1
-    return [int(x) for x in c]
+        c[m] = sum(c[m - 1 - i] for i in ones) & 1
+        if c[m]:
+            ones.append(m)
+    return c
 
 
 def fibonacci_parity(n):

@@ -66,8 +66,9 @@ def test_metric_g_descriptor(capsys):
 
 
 def test_metric_disconnected_diameter(capsys):
-    code, _, err = run(capsys, "metric", "--g", "0", "-n", "3", "diameter")
-    assert code == 1 and "disconnected" in err
+    code, out, err = run(capsys, "metric", "--g", "0", "-n", "3", "diameter")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "disconnected" in err
 
 
 def test_metric_clique_colors_universal(capsys):

@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from riordangraphs.binseries import BinarySeries, from_bitstring, named_series
 from riordangraphs.errors import (
@@ -236,6 +236,27 @@ def test_induced():
         CG6.induced([])
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 24),
+    st.integers(1, 24),
+    st.integers(0, (1 << 22) - 1),
+    st.integers(0, (1 << 23) - 1),
+)
+@example(9, 5, 0b1111111, 0b110)  # g(0) = 0
+def test_leading_block_is_the_smaller_graph(n, m, tail, gbits):
+    # the order-m graph of a source is the leading block of its order-n graph
+    n, m = max(n, m), min(n, m)
+    bits = [1] + [(tail >> t) & 1 for t in range(max(n - 2, 0))]
+    G = build_bell_aseq(ASequence(bits), n)
+    assert type(G) is Graph
+    assert adj_sets(G.induced_prefix(m)) == bell_graph_adj(bits, m)
+    prec = max(n - 1, 1)
+    g = BinarySeries(gbits, prec)
+    pair = RiordanPair(g, named_series("z", prec).mul(g))
+    assert build(pair, n).induced_prefix(m) == build(pair, m)
+
+
 def test_reverse_direct_involution_and_prints(rng):
     assert catalan_graph(4).reverse_direct().to_matrix_lines() == printed_cg4_reverse()
     assert catalan_graph(8).reverse_direct().to_matrix_lines() == printed_cg8_reverse()
@@ -338,6 +359,16 @@ def test_is_io_decomposable_by_definition():
         assert pascal_graph(n).is_io_decomposable_by_definition()
     bad = io_graph([1, 1, 1, 0, 0, 0, 0], 8)
     assert not bad.is_io_decomposable_by_definition()
+    # the definition reads adjacency only, so plain graphs answer too
+    CG8 = catalan_graph(8)
+    assert Graph(8, CG8.rows).is_io_decomposable_by_definition()
+    rows = list(CG8.rows)
+    rows[0] ^= 1 << 6  # flip edge {1, 7}: the odd block now differs from the prefix
+    rows[6] ^= 1
+    tampered = Graph(8, rows)
+    odds = tampered.induced([1, 3, 5, 7])
+    assert odds != tampered.induced_prefix(4)
+    assert not tampered.is_io_decomposable_by_definition()
 
 
 def test_io_definition_equals_pattern_for_all_64():
