@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .binseries import BinarySeries
-from .errors import IoViolationError, LengthError, PatternError, UsageError
-from .riordan import ASequence, RiordanPair, io_pattern_extend, is_io_pattern
+from .errors import IoViolationError, UsageError
+from .riordan import ASequence, RiordanPair, io_pattern_extend, require_io_pattern
 from .rgraph import DEFAULT_CLIQUE_CAP, Graph, build, build_bell_aseq, catalan_graph
 
 __all__ = [
@@ -206,20 +206,11 @@ def check_fractal_window(G: Graph, s: int, alpha: int) -> Optional[dict]:
 # verifiers
 # ---------------------------------------------------------------------------
 
-def _require_pattern(a: ASequence, order: int) -> None:
-    if not is_io_pattern(a):
-        raise PatternError("verifier needs an io-pattern A-sequence")
-    if len(a) < order - 1:
-        raise LengthError(
-            f"order {order} needs an A-sequence of length {order - 1}, got {len(a)}"
-        )
-
-
 def verify_structural(
     a: ASequence, n_max: int, clique_cap: int = DEFAULT_CLIQUE_CAP
 ) -> VerificationReport:
     """Universal vertex, coloring, clique and diameter bounds for all n <= n_max."""
-    _require_pattern(a, n_max)
+    require_io_pattern(a, n_max)
     report = VerificationReport(
         "structural", {"aseq": a.to_bitstring(), "n_max": n_max}
     )
@@ -242,7 +233,7 @@ def verify_fractal(
         raise UsageError(
             f"order {n} too small for s={s}, alpha_max={alpha_max}"
         )
-    _require_pattern(a, n)
+    require_io_pattern(a, n)
     report = VerificationReport(
         "fractal",
         {"aseq": a.to_bitstring(), "s": s, "alpha_max": alpha_max, "n": n},
@@ -354,7 +345,7 @@ def verify_mixed_size(k: int, m: int, s: int, a: ASequence) -> VerificationRepor
     match their closed forms.
     """
     n = claim_order("mixed-size", k, m=m, s=s)
-    _require_pattern(a, n)
+    require_io_pattern(a, n)
     report = VerificationReport(
         "mixed-size", {"k": k, "m": m, "s": s, "n": n, "aseq": a.to_bitstring()}
     )
@@ -404,7 +395,7 @@ def verify_mixed_size(k: int, m: int, s: int, a: ASequence) -> VerificationRepor
 def verify_monotonicity(a: ASequence, k: int, m_max: int) -> VerificationReport:
     """With s = diam(G_{2^k}), doubling the order m times adds at most m."""
     top = claim_order("monotonicity", k, m_max=m_max)
-    _require_pattern(a, top)
+    require_io_pattern(a, top)
     report = VerificationReport(
         "monotonicity", {"aseq": a.to_bitstring(), "k": k, "m_max": m_max}
     )
@@ -445,7 +436,7 @@ def verify_diameter_drop(a: ASequence, k: int) -> VerificationReport:
     verdict is hypothesis-not-met.
     """
     n = claim_order("diameter-drop", k)
-    _require_pattern(a, n)
+    require_io_pattern(a, n)
     report = VerificationReport(
         "diameter-drop", {"aseq": a.to_bitstring(), "k": k, "n": n}
     )

@@ -175,6 +175,8 @@ def _cmd_scan(args) -> int:
         if flag == "alen":
             a_len, sequences = value, None
         else:
+            # priced before the descriptor is extended to order --nmax
+            search.price_conjecture1(args.nmax, 1, args.budget)
             a_len, sequences = None, [_aseq(flag, value, args.nmax)]
         report = search.scan_conjecture1(
             args.nmax, a_len=a_len, sequences=sequences,
@@ -341,6 +343,9 @@ def main(argv=None) -> int:
         return 1
     except RiordanError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except OverflowError as e:  # a size no sequence can hold, refused by Python itself
+        print(f"error: a requested size is past {sys.maxsize}: {e}", file=sys.stderr)
         return 2
 
 

@@ -22,7 +22,6 @@ from .errors import (
     DisconnectedError,
     IoViolationError,
     LengthError,
-    PatternError,
     PrecisionError,
     ScaleError,
     UsageError,
@@ -33,8 +32,8 @@ from .riordan import (
     bell_matrix_from_aseq,
     catalan_pair,
     io_pattern_extend,
-    is_io_pattern,
     pascal_pair,
+    require_io_pattern,
     riordan_matrix,
 )
 
@@ -416,12 +415,7 @@ def reverse_formula(a: ASequence, n: int) -> Graph:
     Builds the pair (A'(z) * A(z)^(n-2), z / A(z)) directly; for io
     pattern sequences this equals reverse_direct of the grown graph.
     """
-    if not is_io_pattern(a):
-        raise PatternError("reverse_formula needs an io-pattern A-sequence")
-    if len(a) < n - 1:
-        raise LengthError(
-            f"order {n} needs an A-sequence of length {n - 1}, got {len(a)}"
-        )
+    require_io_pattern(a, n)
     if n == 1:
         return build(RiordanPair(a.series(1), BinarySeries(0, 1)), 1)
     # One pattern-extension step: for even n the new slot is the pair

@@ -17,7 +17,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence, Union
 
 from .binseries import BinarySeries, named_series
-from .errors import InvertibilityError, LengthError, PrecisionError, UsageError
+from .errors import InvertibilityError, LengthError, PatternError
+from .errors import PrecisionError, UsageError
 
 __all__ = [
     "ASequence",
@@ -31,6 +32,7 @@ __all__ = [
     "io_pattern_extend",
     "is_io_pattern",
     "pascal_pair",
+    "require_io_pattern",
     "riordan_matrix",
 ]
 
@@ -104,6 +106,17 @@ def is_io_pattern(a: ASequence) -> bool:
         if bits[j] != bits[j - 1]:
             return False
     return True
+
+
+def require_io_pattern(a: ASequence, order: int) -> None:
+    """The gate of everything restricted to io-decomposable Bell graphs: `a`
+    is an io pattern (else PatternError) of length >= order - 1 (else LengthError)."""
+    if not is_io_pattern(a):
+        raise PatternError(f"A-sequence {a.to_bitstring()} is not an io pattern")
+    if len(a) < order - 1:
+        raise LengthError(
+            f"order {order} needs an A-sequence of length {order - 1}, got {len(a)}"
+        )
 
 
 def io_pattern_extend(a: ASequence, length: int) -> ASequence:

@@ -2,9 +2,10 @@
 
 Scans are deterministic: records come out sorted by (order, free-bit
 lexicographic position of the A-sequence) no matter how many worker
-processes ran.  A budget guard refuses scans whose estimated BFS work
-(vertex visits, roughly sum of n^2 over all scanned graphs) exceeds the
-configured limit.
+processes ran.  Scanned sequences pass `riordan.require_io_pattern`.
+One price, `_guard` (graphs x sum of n^2 BFS vertex visits, the two
+reference graphs counted), refuses a scan before anything is built, and
+the same count sizes its process pool.
 
 CSV schema for scan records: n,aseq,diam,diam_catalan,diam_pascal,verdict
 with exit semantics: a scan "fails" exactly when violations were found.
@@ -19,7 +20,7 @@ from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DEFAULT_BUDGET, ScaleError, UsageError
-from .riordan import ASequence
+from .riordan import ASequence, require_io_pattern
 from .rgraph import Graph, build_bell_aseq, catalan_graph, pascal_graph
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "counterexample_family",
     "enumerate_io_aseqs",
     "mixed_size_orders",
+    "price_conjecture1",
     "reproduce_counterexamples",
     "reproduce_tables",
     "scan_conjecture1",
@@ -37,6 +39,7 @@ __all__ = [
 ]
 
 EXHAUSTIVE_MAX_K = 5  # scan 2 enumerates every pattern up to k = 5, samples beyond
+POOL_MIN_VISITS = 2**20  # BFS vertex visits each pool process needs to pay for itself
 
 WITHIN = "within-bounds"
 UPPER = "upper-violation"
@@ -88,26 +91,11 @@ class ConjectureReport:
         return [CSV_HEADER] + [r.to_csv() for r in self.records]
 
 
-def _free_count(length: int) -> int:
-    """Number of free bits (a2, a4, ...) of a length-`length` io pattern."""
-    return (length - 1) // 2
-
-
-def _space_size(frees: int, budget: int) -> int:
-    """2^frees, the number of io patterns with `frees` free bits.  A space
-    larger than the budget is refused before that number is built."""
-    if frees > budget.bit_length():
-        raise ScaleError(
-            f"scan estimate over 2^{frees} vertex-visits exceeds budget {budget}"
-        )
-    return 1 << frees
-
-
 def _io_aseq(value: int, length: int) -> ASequence:
-    """The io pattern of `length` whose free bits, read with a2 as the
-    most significant, spell `value`; a trailing unpaired slot is free."""
+    """The io pattern of `length` whose free bits a2, a4, ... (a trailing
+    unpaired slot too), read with a2 as the most significant, spell `value`."""
     bits = [1, 1]
-    for shift in range(_free_count(length) - 1, -1, -1):
+    for shift in range((length - 1) // 2 - 1, -1, -1):
         b = (value >> shift) & 1
         bits += (b, b)
     return ASequence(bits[:length])
@@ -121,7 +109,7 @@ def enumerate_io_aseqs(length: int) -> Iterator[ASequence]:
     """
     if length < 2:
         raise UsageError(f"pattern sequences need length >= 2, got {length}")
-    for value in range(1 << _free_count(length)):
+    for value in range(1 << ((length - 1) // 2)):
         yield _io_aseq(value, length)
 
 
@@ -132,11 +120,48 @@ def counterexample_family(length: int, ones: int = 16) -> ASequence:
     return ASequence([1] * ones + [0] * (length - ones))
 
 
-def _guard(estimate: int, budget: int) -> None:
-    if estimate > budget:
-        raise ScaleError(
-            f"scan estimate {estimate} vertex-visits exceeds budget {budget}"
-        )
+def _square_sum(orders: Sequence[int]) -> int:
+    """Sum of n^2 over `orders`; a range in closed form, as it may be too long to walk."""
+    if isinstance(orders, range):
+        upto = lambda m: m * (m + 1) * (2 * m + 1) // 6  # 1^2 + ... + m^2
+        return upto(orders[-1]) - upto(orders[0] - 1) if orders else 0
+    return sum(n * n for n in orders)
+
+
+def _guard(graphs: int, orders: Sequence[int], budget: int) -> None:
+    """Refuse a scan of `graphs` graphs, each measured by all-sources BFS at
+    every order in `orders` (graphs x sum of n^2 vertex visits), past
+    `budget`; an estimate past 2^64 is reported as a power-of-two lower bound."""
+    visits = graphs * _square_sum(orders)
+    if visits > budget:
+        size = visits if visits < 1 << 64 else f"over 2^{visits.bit_length() - 1}"
+        raise ScaleError(f"scan estimate {size} vertex-visits exceeds budget {budget}")
+
+
+def price_conjecture1(n_max: int, sequences: int, budget: int) -> None:
+    """Refuse scan 1 of `sequences` Bell graphs and the two references to
+    order `n_max` past `budget`, before any of them is built."""
+    _guard(sequences + 2, range(4, n_max + 1), budget)
+
+
+def _io_space(
+    length: int, orders: Sequence[int], budget: int,
+    sample: Optional[int] = None, seed: int = 0,
+) -> list[ASequence]:
+    """Every io pattern of `length`, or `sample` distinct ones (all-ones among
+    them) drawn with `seed`, priced at `orders` with the two references first."""
+    frees = (length - 1) // 2  # a2, a4, ...
+    # 2^frees is capped past 2^64 and the budget, which the guard refuses alike
+    space = 1 << min(frees, max(budget.bit_length(), 64) + 1)
+    count = space if sample is None else min(sample, space)
+    _guard(count + 2, orders, budget)
+    if count == space:
+        return list(enumerate_io_aseqs(length))
+    rng = random.Random(seed)
+    seen = {(1 << frees) - 1}  # always include the Catalan prefix
+    while len(seen) < count:
+        seen.add(rng.getrandbits(frees))
+    return [_io_aseq(value, length) for value in sorted(seen)]
 
 
 def _prefix_diameters(full: Graph, orders: Sequence[int]) -> dict[int, int]:
@@ -158,10 +183,11 @@ def _diameters(
     sequences: Sequence[ASequence], n_max: int, orders: Sequence[int], jobs: int
 ) -> list[tuple[int, ...]]:
     """Diameters at `orders` of each sequence's order-`n_max` graph, in
-    sequence order, on at most min(jobs, cpu count, len(sequences))
-    processes."""
+    sequence order, on min(jobs, cpu count, len(sequences), visits //
+    POOL_MIN_VISITS) processes, with visits the scan's price."""
     work = partial(_sequence_diameters, n_max=n_max, orders=orders)
-    procs = min(jobs, os.cpu_count() or 1, len(sequences))
+    visits = len(sequences) * _square_sum(orders)
+    procs = min(jobs, os.cpu_count() or 1, len(sequences), visits // POOL_MIN_VISITS)
     if procs <= 1:
         return [work(a) for a in sequences]
     from multiprocessing import Pool
@@ -209,7 +235,8 @@ def scan_conjecture1(
     """Compare diam(G_n) against diam(PG_n) = 2 and diam(CG_n) for 4 <= n <= n_max.
 
     Scans every io pattern of length `a_len` (which must determine every
-    scanned order: a_len >= n_max - 1), or an explicit list of sequences.
+    scanned order: a_len >= n_max - 1), or an explicit list of io
+    patterns, each passed through `require_io_pattern`.
     Upper violations are orders with diam(G_n) > diam(CG_n); lower
     violations have diam(G_n) < 2.  Non-Pascal sequences that stay at
     diameter 2 for every scanned order are reported as uniqueness
@@ -217,8 +244,7 @@ def scan_conjecture1(
     """
     if n_max < 4:
         raise UsageError("n_max must be at least 4")
-    orders = list(range(4, n_max + 1))
-    work = sum(n * n for n in orders)
+    orders = range(4, n_max + 1)
     if sequences is None:
         if a_len is None:
             raise UsageError("need a_len or an explicit sequence list")
@@ -226,17 +252,12 @@ def scan_conjecture1(
             raise UsageError(
                 f"a_len {a_len} cannot determine graphs up to order {n_max}"
             )
-        # guard before materializing: the pattern space is exponential
-        _guard((_space_size(_free_count(a_len), budget) + 2) * work, budget)
-        sequences = list(enumerate_io_aseqs(a_len))
+        sequences = _io_space(a_len, orders, budget)
     else:
         sequences = list(sequences)
+        price_conjecture1(n_max, len(sequences), budget)
         for a in sequences:
-            if len(a) < n_max - 1:
-                raise UsageError(
-                    f"sequence {a.to_bitstring()} too short for order {n_max}"
-                )
-        _guard((len(sequences) + 2) * work, budget)
+            require_io_pattern(a, n_max)
 
     records, ref_pascal = _scan(
         sequences, n_max, orders, jobs,
@@ -280,25 +301,9 @@ def scan_conjecture2(
         raise UsageError(f"sample must be at least 1, got {sample}")
     n = 1 << k
     length = n - 1 if n > 2 else 2
-    frees = _free_count(length)
-    exhaustive = k <= EXHAUSTIVE_MAX_K and sample is None
-    if exhaustive:
-        count = _space_size(frees, budget)
-    else:
-        want = 4096 if sample is None else sample
-        # min(want, 2^frees), without building 2^frees when it is larger
-        count = want if frees >= want.bit_length() else min(want, 1 << frees)
-    # guard before any sequence of length 2^k - 1 exists
-    _guard(count * n * n, budget)
-    if exhaustive:
-        sequences = list(enumerate_io_aseqs(length))
-    else:
-        rng = random.Random(seed)
-        seen = {(1 << frees) - 1}  # always include the Catalan prefix
-        while len(seen) < count:
-            seen.add(rng.getrandbits(frees))
-        sequences = [_io_aseq(value, length) for value in sorted(seen)]
-
+    if sample is None and k > EXHAUSTIVE_MAX_K:
+        sample = 4096
+    sequences = _io_space(length, [n], budget, sample, seed)
     ones = "1" * length
     records, _ = _scan(
         sequences, n, [n], jobs,
@@ -311,7 +316,7 @@ def scan_conjecture2(
             "k": k,
             "n": n,
             "sequences": len(sequences),
-            "exhaustive": exhaustive,
+            "exhaustive": sample is None,
         },
         records,
         {"attainers": attainers, "all_ones_attains": ones in attainers},
@@ -320,25 +325,17 @@ def scan_conjecture2(
 
 def mixed_size_orders(n_max: int) -> list[tuple[int, int, int, int]]:
     """All (n, k, m, s) with n = 1 + 2^m + (2^k + ... + 2^(k+s)) <= n_max,
-    k > m >= 1 and s >= 1.  The decomposition of n - 1 into an isolated
-    low bit plus one run of consecutive higher bits is unique."""
+    k > m >= 1 and s >= 1, by increasing n; each n has one (k, m, s), bit m
+    being the lowest of n - 1.  Built from bit positions: 1..n_max is never walked."""
+    top = n_max.bit_length()
     out = []
-    for n in range(8, n_max + 1):
-        r = n - 1
-        m = (r & -r).bit_length() - 1
-        if m < 1:
-            continue
-        rest = r ^ (1 << m)
-        if rest == 0:
-            continue
-        k = (rest & -rest).bit_length() - 1
-        top = rest.bit_length() - 1
-        if rest != ((1 << (top + 1)) - 1) ^ ((1 << k) - 1):
-            continue
-        s = top - k
-        if k > m and s >= 1:
-            out.append((n, k, m, s))
-    return out
+    for m in range(1, top):
+        for k in range(m + 1, top):
+            for s in range(1, top - k):
+                n = 1 + (1 << m) + (((1 << (s + 1)) - 1) << k)
+                if n <= n_max:
+                    out.append((n, k, m, s))
+    return sorted(out)
 
 
 def scan_conjecture3(
@@ -348,10 +345,9 @@ def scan_conjecture3(
     if n_max < 8:
         raise UsageError("n_max must be at least 8")
     orders = mixed_size_orders(n_max)
-    _guard(sum(n * n for n, _, _, _ in orders) + n_max * n_max, budget)
-    diams = {}
-    if orders:
-        diams = _prefix_diameters(catalan_graph(n_max), [o[0] for o in orders])
+    measured = [o[0] for o in orders]
+    _guard(1, measured, budget)  # CG_n_max, measured at the mixed orders
+    diams = _prefix_diameters(catalan_graph(n_max), measured)
     report = ConjectureReport("3", {"n_max": n_max, "orders": len(orders)})
     for n, k, m, s in orders:
         want = s + 2 if m == 1 else s + 3

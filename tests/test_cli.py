@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +223,19 @@ def test_usage_exit_codes(capsys):
         ["verify", "monotonicity", "--family", "catalan", "--k", "-5", "--mmax", "1"],
         ["verify", "diameter-drop", "--family", "catalan", "--k", "-1"],
         ["verify", "mixed-size", "--family", "catalan", "--k", "3", "--m", "-1", "--s", "0"],
+        # scan 1 measures io patterns only
+        ["scan", "1", "--aseq", "1010", "--nmax", "8"],
+        ["scan", "1", "--aseq-ones", "3", "--nmax", "12"],
+        # priced before the descriptor is extended to order 10^20
+        ["scan", "1", "--aseq", "11", "--nmax", str(10**20)],
+        # sizes past 2^63, which fail Python's size check before any allocation
+        ["graph", "--aseq", "11", "-n", str(10**20)],
+        ["graph", "--g", "1", "-n", str(10**20)],
+        ["metric", "--aseq", "11", "-n", str(10**20), "diameter"],
+        ["verify", "structural", "--aseq", "11", "--nmax", str(10**20)],
+        ["verify", "fractal", "--aseq", "11", "--n", str(10**20)],
+        ["verify", "mixed-size", "--family", "catalan", "--k", "70", "--m", "1"],
+        ["verify", "monotonicity", "--aseq", "11", "--k", "40", "--mmax", "30"],
     ],
 )
 def test_bad_input_exit2_one_line(capsys, argv):
@@ -229,6 +243,12 @@ def test_bad_input_exit2_one_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_scan1_priced_before_descriptor_is_extended(capsys):
+    code, out, err = run(capsys, "scan", "1", "--aseq", "11", "--nmax", str(10**20))
+    assert code == 2 and out == ""
+    assert "budget" in err and "Traceback" not in err
 
 
 def test_closed_stdout_exit2():
@@ -289,8 +309,42 @@ def test_console_entry_subprocess():
     assert proc.stdout.strip() == "3"
 
 
-def test_scan_jobs_flag_deterministic(capsys):
+def test_scan_jobs_flag_deterministic(capsys, monkeypatch):
+    from riordangraphs import search
+
+    monkeypatch.setattr(search, "POOL_MIN_VISITS", 1)  # so that --jobs 2 starts a pool
     code1, out1, _ = run(capsys, "scan", "2", "-k", "3", "--jobs", "1")
     code2, out2, _ = run(capsys, "scan", "2", "-k", "3", "--jobs", "2")
     assert code1 == code2 == 1
     assert out1 == out2
+
+
+def _readme_commands() -> list[str]:
+    """The commands of README's CLI block, one per `reproduce` target."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head, *alternatives = (part.strip() for part in line.split("|"))
+        commands.append(head)
+        commands += [head.rsplit(" ", 1)[0] + " " + alt for alt in alternatives]
+    return commands
+
+
+@pytest.mark.parametrize("command", _readme_commands())
+def test_readme_cli_commands_run(capsys, command):
+    prog, *argv = command.split()
+    assert prog == "riordangraphs"
+    code, out, _ = run(capsys, *argv)
+    # the sixteen-ones family exceeds the Catalan diameter, as README documents
+    assert code == (1 if command.startswith("riordangraphs scan 1 --aseq-ones 16") else 0)
+    assert out
+
+
+def test_readme_cli_block_is_parsed():
+    commands = _readme_commands()
+    assert {c.split()[1] for c in commands} == {"graph", "metric", "verify", "scan", "reproduce"}
+    assert sum(c.startswith("riordangraphs reproduce ") for c in commands) == 5

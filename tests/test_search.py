@@ -1,6 +1,7 @@
 import pytest
 
-from riordangraphs.errors import ScaleError, UsageError
+from riordangraphs import search
+from riordangraphs.errors import LengthError, PatternError, ScaleError, UsageError
 from riordangraphs.golden import printed_counterexamples
 from riordangraphs.riordan import ASequence, is_io_pattern
 from riordangraphs.rgraph import DistanceReport, build_bell_aseq, catalan_graph
@@ -114,7 +115,15 @@ def test_budget_guard_fires_before_enumeration():
     assert __import__("time").perf_counter() - t0 < 1.0
 
 
-def test_scan1_jobs_deterministic():
+def test_scan1_explicit_sequences_are_gated():
+    with pytest.raises(PatternError):
+        scan_conjecture1(8, sequences=[ASequence("1010000")])
+    with pytest.raises(LengthError):
+        scan_conjecture1(8, sequences=[ASequence("11")])
+
+
+def test_scan1_jobs_deterministic(monkeypatch):
+    monkeypatch.setattr(search, "POOL_MIN_VISITS", 1)  # so that jobs=3 starts a pool
     a = scan_conjecture1(12, a_len=11, jobs=1)
     b = scan_conjecture1(12, a_len=11, jobs=3)
     assert [r.to_csv() for r in a.records] == [r.to_csv() for r in b.records]
@@ -171,7 +180,8 @@ def test_scan2_budget_guard():
         scan_conjecture2(40, sample=2)
 
 
-def test_scan2_jobs_deterministic():
+def test_scan2_jobs_deterministic(monkeypatch):
+    monkeypatch.setattr(search, "POOL_MIN_VISITS", 1)  # so that jobs=4 starts a pool
     a = scan_conjecture2(4, jobs=1)
     b = scan_conjecture2(4, jobs=4)
     assert [r.to_csv() for r in a.records] == [r.to_csv() for r in b.records]
@@ -189,6 +199,26 @@ def test_scan2_jobs_clamped_to_cpu_count(monkeypatch):
     a = scan_conjecture2(3, jobs=1)
     b = scan_conjecture2(3, jobs=10**6)
     assert [r.to_csv() for r in a.records] == [r.to_csv() for r in b.records]
+
+
+def test_small_scans_start_no_pool(monkeypatch):
+    # 128 x 16^2 and 32 x (4^2 + ... + 12^2) visits, far below POOL_MIN_VISITS
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert scan_conjecture2(4, jobs=2).params["sequences"] == 128
+    assert scan_conjecture1(12, a_len=11, jobs=2).params["sequences"] == 32
+
+
+def test_scan2_prices_its_two_references():
+    # k = 4: 128 io graphs and CG_16, PG_16, each 16^2 vertex visits
+    with pytest.raises(ScaleError):
+        scan_conjecture2(4, budget=128 * 256)
+    assert scan_conjecture2(4, budget=130 * 256).params["sequences"] == 128
 
 
 def test_record_types_keep_their_api():
