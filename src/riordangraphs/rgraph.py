@@ -160,34 +160,53 @@ class Graph:
         levels, seen = self._sweep(self._check_vertex(v))
         return len(levels) - 1 if seen == (1 << self.n) - 1 else None
 
+    def _ifub(self) -> tuple[int, list[int]]:
+        """Exact diameter by iFUB (Crescenzi, Grossi, Habib, Lanzi, Marino,
+        TCS 2013), with the BFS levels of its start vertex u, a vertex of
+        maximum degree.
+
+        The sweep from vertex 1 decides connectivity and names the witness.
+        Then vertices are swept from u's deepest level upwards, each once.
+        Every vertex not yet swept lies within i of u when i is the level
+        next in line, so no pair of them is more than 2i apart: once the
+        largest eccentricity seen reaches 2i, it is the diameter."""
+        full = (1 << self.n) - 1
+        levels, seen = self._sweep(0)
+        if seen != full:
+            missed = full & ~seen
+            raise DisconnectedError(1, (missed & -missed).bit_length())
+        u = self.rows.index(max(self.rows, key=int.bit_count))
+        best = len(levels) - 1
+        if u:
+            levels = self._sweep(u)[0]
+            best = max(best, len(levels) - 1)
+        for i in range(len(levels) - 1, 0, -1):
+            for v in _iter_bits(levels[i] & ~1):  # vertex 1 is swept already
+                if best >= 2 * i:
+                    return best, levels
+                best = max(best, len(self._sweep(v)[0]) - 1)
+        return best, levels
+
     def diameter(self) -> int:
-        """Maximum distance over all vertex pairs; raises on disconnection."""
-        best = 0
-        for v in range(1, self.n + 1):
-            ecc = self.eccentricity(v)
-            if ecc is None:
-                raise DisconnectedError(v, self.distances(v).dists.index(None) + 1)
-            if ecc > best:
-                best = ecc
-        return best
+        """Maximum distance over all vertex pairs; raises DisconnectedError
+        (1, lowest vertex unreachable from 1) on disconnection."""
+        return self._ifub()[0]
 
     def diameter_pairs(self) -> tuple[int, set[tuple[int, int]]]:
         """Diameter together with every unordered pair realizing it.
 
-        Raises the same DisconnectedError as `diameter`."""
-        best = 0
+        Raises the same DisconnectedError as `diameter`.  A vertex at level
+        i of the iFUB start vertex u has eccentricity at most i + ecc(u),
+        so only the levels i >= diameter - ecc(u) hold pair endpoints."""
+        diam, levels = self._ifub()
+        ecc_u = len(levels) - 1
         pairs: set[tuple[int, int]] = set()
-        for u in range(1, self.n + 1):
-            dists = self.distances(u).dists
-            if None in dists:
-                raise DisconnectedError(u, dists.index(None) + 1)
-            ecc = max(dists)
-            if ecc > best:
-                best = ecc
-                pairs = set()
-            if ecc == best:
-                pairs.update((u, v + 1) for v in range(u, self.n) if dists[v] == best)
-        return best, pairs
+        for level in levels[max(diam - ecc_u, 0):]:
+            for v in _iter_bits(level):
+                far = self._sweep(v)[0]
+                if len(far) - 1 == diam:
+                    pairs.update((v + 1, w + 1) for w in _iter_bits(far[diam]) if w > v)
+        return diam, pairs
 
     # -- subgraphs and relabellings ---------------------------------------
 

@@ -14,6 +14,7 @@ A-sequence literals are bit strings with a_0 first, e.g. "1100000".
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 from .binseries import BinarySeries, named_series
@@ -234,21 +235,28 @@ def bell_matrix_from_aseq(a: ASequence, n: int) -> BinaryTriangle:
         raise UsageError(f"order must be positive, got {n}")
     if len(a) < n:
         raise LengthError(f"order {n} needs an A-sequence of length {n}, got {len(a)}")
-    amask = sum(b << k for k, b in enumerate(a.bits))
-    shifted_a = amask >> 1  # bit j = a_{j+1}
+    bits = a.bits[:n]
+    shifts = [t for t, b in enumerate(bits) if b]
+    shifted_a = sum(1 << t for t in shifts) >> 1  # bit j = a_{j+1}
+    reversed_a = sum(1 << (n - 1 - t) for t in shifts)  # bit n-1-t = a_t
     rows = [1]
     row = 1
-    for _ in range(n - 1):
-        s = row
-        m = shifted_a
-        t = 1
-        while m:
-            if m & 1:
+    for i, live in zip(range(1, n), accumulate(bits)):
+        # Row i-1 has bits 0..i-1, so the `live` shifts t < i act on it.
+        # Loop over the sparser side; a set row bit costs about three shifts.
+        s = 0
+        if 3 * row.bit_count() >= live:
+            for t in shifts:
+                if t >= i:
+                    break
                 s ^= row >> t
-            m >>= 1
-            t += 1
-        head = (row & shifted_a).bit_count() & 1
-        row = (s << 1) | head
+        else:
+            m = row
+            while m:
+                low = m & -m
+                s ^= reversed_a >> (n - low.bit_length())  # bit j = a_{k-j}, k = row bit
+                m ^= low
+        row = (s << 1) | ((row & shifted_a).bit_count() & 1)
         rows.append(row)
     return BinaryTriangle(rows)
 

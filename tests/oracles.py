@@ -2,7 +2,11 @@
 
 Everything here recomputes from first principles with plain lists,
 exact big integers or dict-of-set graphs -- never through the package's
-bit-packed code paths.  Only the standard library is used.
+bit-packed code paths.  The one bit-packed oracle is the all-sources
+diameter, the library's former kernel, kept as the reference for its
+iFUB diameter: it reads a graph's `n` and `rows` and nothing else, and is
+itself checked against the dict-of-sets `diameter_oracle`.  Only the
+standard library is used.
 """
 
 from collections import deque
@@ -172,6 +176,60 @@ def diameter_oracle(adj):
             return None
         best = max(best, max(dist.values()))
     return best
+
+
+class Disconnected(Exception):
+    """Raised by the all-sources oracles: `pair` = (v, w) with w the lowest
+    vertex unreachable from v, the first vertex in label order that misses one."""
+
+    def __init__(self, v, w):
+        super().__init__(f"vertex {w} unreachable from {v}")
+        self.pair = (v, w)
+
+
+def _bit_levels(G, v):
+    """BFS from vertex v over a package graph's bit rows (bit j-1 of
+    rows[i-1] marks the edge {i, j}): the frontier masks by distance and
+    the mask of reached vertices."""
+    seen = frontier = 1 << (v - 1)
+    levels = []
+    while frontier:
+        levels.append(frontier)
+        nxt = 0
+        m = frontier
+        while m:
+            low = m & -m
+            nxt |= G.rows[low.bit_length() - 1]
+            m ^= low
+        frontier = nxt & ~seen
+        seen |= frontier
+    return levels, seen
+
+
+def all_sources_diameter_pairs(G):
+    """Diameter of a package graph and every unordered pair realizing it,
+    by one BFS from every vertex; raises Disconnected on disconnection.
+    This is the library's diameter before it moved to iFUB."""
+    full = (1 << G.n) - 1
+    best = 0
+    pairs = set()
+    for u in range(1, G.n + 1):
+        levels, seen = _bit_levels(G, u)
+        if seen != full:
+            missed = full & ~seen
+            raise Disconnected(u, (missed & -missed).bit_length())
+        ecc = len(levels) - 1
+        if ecc > best:
+            best = ecc
+            pairs = set()
+        if ecc == best:
+            far = levels[ecc]
+            pairs.update((u, v + 1) for v in range(u, G.n) if (far >> v) & 1)
+    return best, pairs
+
+
+def all_sources_diameter(G):
+    return all_sources_diameter_pairs(G)[0]
 
 
 def brute_clique(adj):

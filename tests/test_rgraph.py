@@ -1,4 +1,5 @@
 from itertools import product
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,10 +25,13 @@ from riordangraphs.rgraph import (
     reverse_formula,
 )
 
-from riordangraphs.search import enumerate_io_aseqs
+from riordangraphs.search import counterexample_family, enumerate_io_aseqs
 
 from oracles import (
+    Disconnected,
     adj_sets,
+    all_sources_diameter,
+    all_sources_diameter_pairs,
     bell_graph_adj,
     bfs_dists,
     brute_clique,
@@ -172,6 +176,7 @@ def test_distance_kernel_against_oracle_on_io_spaces():
                     assert G.distance(u, v) == oracle[v]
                     if u < v and oracle[v] == diam:
                         pairs.add((u, v))
+            assert all_sources_diameter_pairs(G) == (diam, pairs)
             assert G.diameter() == diam
             assert G.diameter_pairs() == (diam, pairs)
 
@@ -193,11 +198,88 @@ def test_pair_graphs_disconnected_witness():
                 G.diameter()
             with pytest.raises(DisconnectedError) as paired:
                 G.diameter_pairs()
+            with pytest.raises(Disconnected) as moved:
+                all_sources_diameter_pairs(G)
             u, v = plain.value.pair
-            assert paired.value.pair == (u, v)
+            assert paired.value.pair == moved.value.pair == (u, v)
             assert G.distance(u, v) is None and G.eccentricity(u) is None
             assert v not in bfs_dists(adj_sets(G), u)
     assert disconnected > 0
+
+
+def test_ifub_against_all_sources_on_k5_sample():
+    # a seeded sample of the k = 5 io space: 2,048 of its 32,768 graphs
+    rng = random.Random(0x1F0B)
+    for free in rng.sample(range(1 << 15), 2048):
+        # free bit m fills a_{2m+2} and a_{2m+3}; a_30 is unpaired
+        bits = [1, 1] + [(free >> (p // 2 - 1)) & 1 for p in range(2, 31)]
+        G = io_graph(bits, 32)
+        want = all_sources_diameter_pairs(G)
+        assert G.diameter() == want[0]
+        assert G.diameter_pairs() == want
+
+
+def test_ifub_against_all_sources_on_sixteen_ones_prefixes():
+    full = build_bell_aseq(counterexample_family(255), 256)
+    for n in range(4, 257):
+        G = full.induced_prefix(n)
+        assert G.diameter() == all_sources_diameter(G), n
+
+
+def test_diameter_pairs_against_all_sources_on_catalan():
+    for k in range(9):
+        G = catalan_graph(1 << k)
+        diam, pairs = G.diameter_pairs()
+        assert diam == k and (diam, pairs) == all_sources_diameter_pairs(G)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 40), st.integers(0, (1 << 39) - 1), st.integers(0, (1 << 39) - 1))
+@example(5, 1, 0b100)  # disconnected: f = z^2
+@example(40, 1, 0b10)  # the path of order 40
+def test_ifub_against_all_sources_on_pairs(n, gbits, fbits):
+    # any pair (g, f) with f(0) = 0, proper or not, so disconnected graphs
+    # come up too; these must name the oracle's witness pair
+    prec = n - 1
+    G = build(RiordanPair(BinarySeries(gbits, prec), BinarySeries(fbits & ~1, prec)), n)
+    try:
+        want = all_sources_diameter_pairs(G)
+    except Disconnected as err:
+        for method in (G.diameter, G.diameter_pairs):
+            with pytest.raises(DisconnectedError) as got:
+                method()
+            assert got.value.pair == err.pair
+        return
+    assert G.diameter() == want[0]
+    assert G.diameter_pairs() == want
+
+
+def test_ifub_sweeps_each_vertex_at_most_once(monkeypatch):
+    sources = []
+    kernel = Graph._sweep
+
+    def counted(self, s):
+        sources.append(s)
+        return kernel(self, s)
+
+    monkeypatch.setattr(Graph, "_sweep", counted)
+    assert catalan_graph(1024).diameter() == 10
+    assert len(sources) <= 64 and len(set(sources)) == len(sources)
+    # a path's diameter n - 1 is far above floor(log2 n), so a pruning by
+    # that claimed bound would stop short; only iFUB's own 2i bound may
+    n = 40
+    path = Graph(n, [(1 << (i - 1) if i else 0) | (1 << (i + 1)) for i in range(n)])
+    sources.clear()
+    assert path.diameter() == n - 1
+    assert len(set(sources)) == len(sources) < n
+    # vertex 1, swept first, sits at level 2 of the hub 3, which iFUB visits
+    rows = [0] * 6
+    for a, b in ((1, 2), (2, 3), (3, 4), (3, 5), (3, 6)):
+        rows[a - 1] |= 1 << (b - 1)
+        rows[b - 1] |= 1 << (a - 1)
+    sources.clear()
+    assert Graph(6, rows).diameter() == 3
+    assert sources == [0, 2]
 
 
 def test_universal_vertices():

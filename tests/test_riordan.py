@@ -115,14 +115,22 @@ def test_bell_matrix_identity_catalan_pascal():
     assert bell_matrix_from_aseq(ASequence([1, 1] + [0] * 6), 8) == riordan_matrix(
         pascal_pair(8), 8
     )
+    # a dense A-sequence with sparse rows, and a sparse one with dense rows
+    assert bell_matrix_from_aseq(ASequence([1] * 512), 512) == riordan_matrix(
+        catalan_pair(512), 512
+    )
+    assert bell_matrix_from_aseq(ASequence([1, 1] + [0] * 510), 512) == riordan_matrix(
+        pascal_pair(512), 512
+    )
     with pytest.raises(LengthError):
         bell_matrix_from_aseq(ASequence([1, 1, 1]), 8)
 
 
 def test_bell_matrix_against_list_recurrence(rng):
-    for _ in range(25):
-        n = rng.randint(1, 24)
-        bits = [1] + [rng.randint(0, 1) for _ in range(n - 1)]
+    for _ in range(30):
+        n = rng.randint(1, 40)
+        density = rng.choice([0.1, 0.5, 0.9])  # both sides of the row/A choice
+        bits = [1] + [int(rng.random() < density) for _ in range(n - 1)]
         tri = bell_matrix_from_aseq(ASequence(bits), n)
         oracle = bell_triangle_lists(bits, n)
         for i in range(n):
