@@ -37,14 +37,13 @@ NOT_APPLICABLE = "hypothesis-not-met"
 class VerificationReport:
     """Outcome of one claim check: verdict plus a replayable witness on failure."""
 
-    def __init__(self, claim: str, params: dict, verdict: str = PASS,
-                 witness: Optional[dict] = None, checks: int = 0, notes=None):
+    def __init__(self, claim: str, params: dict):
         self.claim = claim
         self.params = params
-        self.verdict = verdict
-        self.witness = witness
-        self.checks = checks
-        self.notes = [] if notes is None else notes
+        self.verdict = PASS
+        self.witness: Optional[dict] = None
+        self.checks = 0
+        self.notes: list[str] = []
 
     @property
     def passed(self) -> bool:
@@ -95,15 +94,13 @@ def claim_order(claim: str, k: int, m: int = 1, s: int = 0, m_max: int = 1) -> i
 # per-graph checkers (seams for fault-injection tests)
 # ---------------------------------------------------------------------------
 
-def check_structural_order(
-    G: Graph, clique_cap: int = DEFAULT_CLIQUE_CAP
-) -> Optional[dict]:
+def check_structural_order(G: Graph) -> Optional[dict]:
     """Check the io structural facts on one graph; return a witness or None.
 
     Facts checked for order n: the designated universal vertex when
     n = 2^k + 1 or 2^k + 2; the io coloring is proper and uses exactly
     ceil(log2 n) + 1 colors; the clique number equals the color count
-    (orders up to `clique_cap` only); diam <= floor(log2 n), with
+    (orders up to DEFAULT_CLIQUE_CAP only); diam <= floor(log2 n), with
     equality to 2 at n = 2^k + 2 and n = 2^(k+1) + 1 for k >= 1; and the
     refined bound diam <= floor(log2(n - 2^k)) + 1 for 2^k + 1 < n < 2^(k+1).
     """
@@ -140,8 +137,8 @@ def check_structural_order(
         }
 
     # (iii) clique number equals chromatic count
-    if n <= clique_cap:
-        clique = G.max_clique_size(cap=clique_cap)
+    if n <= DEFAULT_CLIQUE_CAP:
+        clique = G.max_clique_size()
         if clique != colors_wanted:
             return {"kind": "clique-size", "n": n, "got": clique, "want": colors_wanted}
 
@@ -206,9 +203,7 @@ def check_fractal_window(G: Graph, s: int, alpha: int) -> Optional[dict]:
 # verifiers
 # ---------------------------------------------------------------------------
 
-def verify_structural(
-    a: ASequence, n_max: int, clique_cap: int = DEFAULT_CLIQUE_CAP
-) -> VerificationReport:
+def verify_structural(a: ASequence, n_max: int) -> VerificationReport:
     """Universal vertex, coloring, clique and diameter bounds for all n <= n_max."""
     require_io_pattern(a, n_max)
     report = VerificationReport(
@@ -216,7 +211,7 @@ def verify_structural(
     )
     full = build_bell_aseq(a, n_max)
     for n in range(1, n_max + 1):
-        witness = check_structural_order(full.induced_prefix(n), clique_cap)
+        witness = check_structural_order(full.induced_prefix(n))
         if witness is not None:
             return report.fail(witness)
         report.checks += 1
@@ -291,27 +286,14 @@ def verify_catalan_diameters(k_max: int) -> VerificationReport:
             )
 
         rev = CG.reverse_direct()
-        form = build(
-            RiordanPair(
-                BinarySeries(1, max(n - 1, 1)), BinarySeries(0b110, max(n - 1, 2))
-            ),
-            n,
-        )
-        if rev.rows != form.rows:
-            return report.fail(_first_entry_diff("reversed-power-pair", n, rev, form))
-
-        rev_low = low.reverse_direct()
-        form_low = build(
-            RiordanPair(
-                BinarySeries(0b11, max(n - 2, 2)),
-                BinarySeries(0b110, max(n - 2, 2)),
-            ),
-            n - 1,
-        )
-        if rev_low.rows != form_low.rows:
-            return report.fail(
-                _first_entry_diff("reversed-near-power-pair", n - 1, rev_low, form_low)
-            )
+        for tag, got, g in (
+            ("reversed-power-pair", rev, 0b1),
+            ("reversed-near-power-pair", low.reverse_direct(), 0b11),
+        ):
+            prec = max(got.n - 1, 2)
+            form = build(RiordanPair(BinarySeries(g, prec), BinarySeries(0b110, prec)), got.n)
+            if got.rows != form.rows:
+                return report.fail(_first_entry_diff(tag, got.n, got, form))
 
         for i in range(1, n // 2 + 1):
             top = rev.rows[i - 1].bit_length()  # largest neighbor label of i
@@ -362,32 +344,17 @@ def verify_mixed_size(k: int, m: int, s: int, a: ASequence) -> VerificationRepor
             return report.fail(
                 {"kind": "diameter-exact", "n": n, "got": diam, "want": bound}
             )
-        n1 = G.neighbors(1)
-        want_n1 = {(1 << t) + 1 for t in range(k + 1)}
-        if n1 != want_n1:
-            return report.fail(
-                {
-                    "kind": "neighbor-set",
-                    "n": n,
-                    "vertex": 1,
-                    "missing": sorted(want_n1 - n1),
-                    "extra": sorted(n1 - want_n1),
-                }
-            )
         heavy = (1 << k) + (1 << m)
-        nh = G.neighbors(heavy)
-        want_nh = {(1 << (m + 1)) + t * (1 << m) - 1 for t in range(1 << (k - m))}
-        want_nh.add(heavy + 1)
-        if nh != want_nh:
-            return report.fail(
-                {
-                    "kind": "neighbor-set",
-                    "n": n,
-                    "vertex": heavy,
-                    "missing": sorted(want_nh - nh),
-                    "extra": sorted(nh - want_nh),
-                }
-            )
+        for vertex, want in (
+            (1, {(1 << t) + 1 for t in range(k + 1)}),
+            (heavy, {(2 << m) + t * (1 << m) - 1 for t in range(1 << (k - m))} | {heavy + 1}),
+        ):
+            got = G.neighbors(vertex)
+            if got != want:
+                return report.fail({
+                    "kind": "neighbor-set", "n": n, "vertex": vertex,
+                    "missing": sorted(want - got), "extra": sorted(got - want),
+                })
         report.checks += 2
     return report
 
@@ -417,15 +384,6 @@ def verify_monotonicity(a: ASequence, k: int, m_max: int) -> VerificationReport:
     return report
 
 
-def _leading_ones(bits: tuple) -> int:
-    count = 0
-    for b in bits:
-        if b != 1:
-            break
-        count += 1
-    return count
-
-
 def verify_diameter_drop(a: ASequence, k: int) -> VerificationReport:
     """Sequences with an early zero have diameter below the all-ones graph.
 
@@ -442,7 +400,7 @@ def verify_diameter_drop(a: ASequence, k: int) -> VerificationReport:
     )
 
     window = io_pattern_extend(a, max(16, n - 1))
-    ones = _leading_ones(window.bits)
+    ones = (window.bits + (0,)).index(0)  # leading ones
 
     applicable = False
     # block shape: ones up to 2^m - 2, then a zero pair, zeros inside the

@@ -3,6 +3,8 @@
 Subcommands: graph, metric, verify, scan, reproduce.  Exit codes:
 0 = verified / no violations, 1 = mathematical discrepancy found,
 2 = usage or resource error.  All output is line-oriented UTF-8.
+graph, metric, verify and scan are priced by `errors._guard` before
+anything is built: scans at --budget, the others at DEFAULT_BUDGET.
 
 Each command takes exactly one graph descriptor flag.  An --aseq
 literal names the polynomial A(z) with those coefficients: it is
@@ -18,7 +20,7 @@ import sys
 
 # analysis, search and golden are imported by the commands that run them,
 # so that every other command starts without them
-from .errors import DEFAULT_BUDGET, DisconnectedError, RiordanError, UsageError
+from .errors import DEFAULT_BUDGET, DisconnectedError, RiordanError, UsageError, _guard
 from .riordan import ASequence
 from .rgraph import (
     DEFAULT_CLIQUE_CAP,
@@ -58,8 +60,15 @@ def _aseq(flag: str, value, order: int) -> ASequence:
     return ASequence(a.bits + (0,) * (length - len(a)))
 
 
+def _price(orders) -> None:
+    """Refuse a command that builds one graph and measures it at `orders`
+    past the default budget, before anything is built."""
+    _guard(1, orders, DEFAULT_BUDGET)
+
+
 def _graph_from_args(args, n: int) -> Graph:
     flag, value = _descriptor(args, ("family", "g", "aseq"))
+    _price((max(n, 0),))  # the builder refuses an order below 1
     if flag == "family":
         return catalan_graph(n) if value == "catalan" else pascal_graph(n)
     if flag == "g":
@@ -140,17 +149,26 @@ def _cmd_verify(args) -> int:
 
     claim = args.claim
     if claim == "catalan-diameters":
+        # CG_2^k and its block of order 2^k - 1 for each k; past k = 64 the
+        # price is over 2^128, and the capped sum is still a lower bound
+        _price([(1 << k) - d for k in range(1, min(args.kmax, 64) + 1) for d in (1, 0)])
         report = analysis.verify_catalan_diameters(args.kmax)
     else:
         descriptor = _descriptor(args, ("family", "aseq"))
         if claim == "structural":
+            _price(range(1, args.nmax + 1))
             a = _aseq(*descriptor, args.nmax)
             report = analysis.verify_structural(a, args.nmax)
         elif claim == "fractal":
+            _price((max(args.n, 0),))
             a = _aseq(*descriptor, args.n)
             report = analysis.verify_fractal(a, args.s, args.alpha_max, args.n)
         else:
             n = analysis.claim_order(claim, args.k, m=args.m, s=args.s, m_max=args.mmax)
+            if claim == "monotonicity":  # prefixes n, n/2, ..., 2^k; the top 65 priced
+                _price([n >> j for j in range(min(args.mmax, 64) + 1)])
+            else:
+                _price((n,))
             a = _aseq(*descriptor, n)
             if claim == "mixed-size":
                 report = analysis.verify_mixed_size(args.k, args.m, args.s, a)

@@ -1,6 +1,27 @@
-"""Exception types shared across the package, and the budget ScaleError guards."""
+"""Exception types shared across the package, and the one price ScaleError guards."""
 
-DEFAULT_BUDGET = 10**8  # estimated vertex visits a scan may run before ScaleError
+from typing import Sequence
+
+DEFAULT_BUDGET = 10**8  # estimated vertex visits a command may run before ScaleError
+
+
+def _square_sum(orders: Sequence[int]) -> int:
+    """Sum of n^2 over `orders`; a range in closed form, as it may be too long to walk."""
+    if isinstance(orders, range):
+        upto = lambda m: m * (m + 1) * (2 * m + 1) // 6  # 1^2 + ... + m^2
+        return upto(orders[-1]) - upto(orders[0] - 1) if orders else 0
+    return sum(n * n for n in orders)
+
+
+def _guard(graphs: int, orders: Sequence[int], budget: int) -> None:
+    """Refuse `graphs` graphs, each measured at every order in `orders`,
+    past `budget`.  The price, graphs x sum of n^2 vertex visits, is iFUB's
+    worst case (one BFS sweep per vertex), an upper bound on the work; an
+    estimate past 2^64 is reported as a power-of-two lower bound."""
+    visits = graphs * _square_sum(orders)
+    if visits > budget:
+        size = visits if visits < 1 << 64 else f"over 2^{visits.bit_length() - 1}"
+        raise ScaleError(f"estimate {size} vertex-visits exceeds budget {budget}")
 
 
 class RiordanError(Exception):

@@ -252,11 +252,10 @@ class Graph:
     def reverse_direct(self) -> "Graph":
         """Relabel vertex i as n+1-i by permuting the adjacency matrix."""
         n = self.n
-        rows = []
-        for i in range(n - 1, -1, -1):
-            r = self.rows[i]
-            rows.append(sum(((r >> (n - 1 - k)) & 1) << k for k in range(n)))
-        return Graph(n, rows)
+        # row i's bit k is the string's character i*n + n-1-k, so reading the
+        # reversed string maps entry (i, j) to (n-1-i, n-1-j)
+        bits = "".join(format(r, f"0{n}b") for r in self.rows)[::-1]
+        return Graph(n, [int(bits[i:i + n], 2) for i in range(0, n * n, n)])
 
     # -- cliques and colorings ----------------------------------------------
 
@@ -302,38 +301,27 @@ class Graph:
         return best
 
     def io_coloring(self) -> tuple[int, ...]:
-        """Color evens 0 and odd v by hops of v -> (v+1)/2 until even.
+        """Color v > 1 by the trailing zeros of v - 1: evens 0, and odd v the
+        number of hops v -> (v+1)/2 until even.
 
         Vertex 1 (the fixed point of the halving map) takes the top color,
         so exactly ceil(log2 n) + 1 colors appear.  The assignment is
-        verified against the adjacency; an adjacent same-color pair raises
+        verified against the adjacency, class by class in the order top,
+        0, 1, 2, ...; the first adjacent same-color pair raises
         IoViolationError with the pair as evidence.
         """
         n = self.n
         top = (n - 1).bit_length()  # ceil(log2 n) for n >= 2, 0 for n = 1
-        colors = []
-        for v in range(1, n + 1):
-            if v % 2 == 0:
-                colors.append(0)
-            elif v == 1:
-                colors.append(top)
-            else:
-                c = 0
-                w = v
-                while w % 2 == 1:
-                    w = (w + 1) // 2
-                    c += 1
-                colors.append(c)
-        class_masks: dict[int, int] = {}
+        colors = (top, *(((v - 1) & (1 - v)).bit_length() - 1 for v in range(2, n + 1)))
+        class_masks: dict[int, int] = {}  # in order of first appearance
         for i, c in enumerate(colors):
             class_masks[c] = class_masks.get(c, 0) | (1 << i)
         for c, mask in class_masks.items():
             for v in _iter_bits(mask):
                 hit = self.rows[v] & mask
                 if hit:
-                    u = next(_iter_bits(hit))
-                    raise IoViolationError(v + 1, u + 1, c)
-        return tuple(colors)
+                    raise IoViolationError(v + 1, (hit & -hit).bit_length(), c)
+        return colors
 
     # -- exports -------------------------------------------------------------
 

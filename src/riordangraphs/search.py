@@ -3,9 +3,9 @@
 Scans are deterministic: records come out sorted by (order, free-bit
 lexicographic position of the A-sequence) no matter how many worker
 processes ran.  Scanned sequences pass `riordan.require_io_pattern`.
-One price, `_guard` (graphs x sum of n^2 BFS vertex visits, iFUB's worst
-case, the two reference graphs counted), refuses a scan before anything
-is built, and the same count sizes its process pool.
+The one price, `errors._guard` (graphs x sum of n^2 BFS vertex visits,
+iFUB's worst case, the two reference graphs counted), refuses a scan
+before anything is built, and the same count sizes its process pool.
 
 CSV schema for scan records: n,aseq,diam,diam_catalan,diam_pascal,verdict
 with exit semantics: a scan "fails" exactly when violations were found.
@@ -19,7 +19,7 @@ from functools import partial
 from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import DEFAULT_BUDGET, ScaleError, UsageError
+from .errors import DEFAULT_BUDGET, UsageError, _guard, _square_sum
 from .riordan import ASequence, require_io_pattern
 from .rgraph import Graph, build_bell_aseq, catalan_graph, pascal_graph
 
@@ -123,25 +123,6 @@ def counterexample_family(length: int, ones: int = 16) -> ASequence:
     if length < ones:
         raise UsageError(f"length {length} shorter than the block of {ones} ones")
     return ASequence([1] * ones + [0] * (length - ones))
-
-
-def _square_sum(orders: Sequence[int]) -> int:
-    """Sum of n^2 over `orders`; a range in closed form, as it may be too long to walk."""
-    if isinstance(orders, range):
-        upto = lambda m: m * (m + 1) * (2 * m + 1) // 6  # 1^2 + ... + m^2
-        return upto(orders[-1]) - upto(orders[0] - 1) if orders else 0
-    return sum(n * n for n in orders)
-
-
-def _guard(graphs: int, orders: Sequence[int], budget: int) -> None:
-    """Refuse a scan of `graphs` graphs, each measured at every order in
-    `orders`, past `budget`.  The price, graphs x sum of n^2 vertex visits,
-    is iFUB's worst case (one BFS sweep per vertex), an upper bound on the
-    work; an estimate past 2^64 is reported as a power-of-two lower bound."""
-    visits = graphs * _square_sum(orders)
-    if visits > budget:
-        size = visits if visits < 1 << 64 else f"over 2^{visits.bit_length() - 1}"
-        raise ScaleError(f"scan estimate {size} vertex-visits exceeds budget {budget}")
 
 
 def price_conjecture1(n_max: int, sequences: int, budget: int) -> None:

@@ -249,6 +249,40 @@ def brute_clique(adj):
     return best
 
 
+def io_coloring_oracle(n):
+    """The io colouring by the hop loop: evens 0, vertex 1 the top colour
+    ceil(log2 n), and odd v > 1 the number of hops v -> (v+1)/2 until even.
+    This is the library's colouring before it took the closed form."""
+    top = (n - 1).bit_length()
+    colors = []
+    for v in range(1, n + 1):
+        if v % 2 == 0:
+            colors.append(0)
+        elif v == 1:
+            colors.append(top)
+        else:
+            c = 0
+            w = v
+            while w % 2 == 1:
+                w = (w + 1) // 2
+                c += 1
+            colors.append(c)
+    return colors
+
+
+def io_violation_oracle(adj, colors):
+    """The first adjacent same-colour pair (v, u, colour) on a dict-of-sets
+    graph: colour classes in order of first appearance, then the lowest v
+    with a same-colour neighbour, then its lowest such neighbour u; None
+    when the colouring is proper."""
+    for c in dict.fromkeys(colors):
+        for v in range(1, len(colors) + 1):
+            same = sorted(u for u in adj[v] if colors[v - 1] == colors[u - 1] == c)
+            if same:
+                return v, same[0], c
+    return None
+
+
 def reverse_adj_oracle(G):
     """Reverse relabelling as an explicit permutation of a dict-of-sets."""
     n = G.n

@@ -209,7 +209,7 @@ def test_criterion_09_structural_suite(rng):
     failures = []
     for i in range(50):
         a = ASequence(random_io_bits(rng, 127))
-        r = analysis.verify_structural(a, 128, clique_cap=64)
+        r = analysis.verify_structural(a, 128)
         if not r.passed:
             failures.append((i, r.to_line()))
     elapsed = time.perf_counter() - t0

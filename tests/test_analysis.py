@@ -1,6 +1,6 @@
 import pytest
 
-from riordangraphs import analysis
+from riordangraphs import analysis, rgraph
 from riordangraphs.analysis import (
     check_extremal_pairs,
     check_fractal_window,
@@ -144,6 +144,34 @@ def test_catalan_diameters_k1():
     assert verify_catalan_diameters(1).passed
 
 
+@pytest.mark.parametrize(
+    "order, i, j, line",
+    [
+        (16, 3, 9, "catalan-diameters [k_max=4] fail checks=3 witness[i=3,j=9,kind=entry,"
+                   "left=1,n=16,right=0,tag=reversed-power-pair]"),
+        (15, 14, 15, "catalan-diameters [k_max=4] fail checks=3 witness[i=14,j=15,kind=entry,"
+                     "left=0,n=15,right=1,tag=reversed-near-power-pair]"),
+    ],
+)
+def test_catalan_diameters_reversal_fault_injection(monkeypatch, order, i, j, line):
+    # one entry of the reversed graph flipped at n = 16 or at n - 1 = 15
+    reverse = Graph.reverse_direct
+
+    def flipped(G):
+        R = reverse(G)
+        if G.n != order:
+            return R
+        rows = list(R.rows)
+        rows[i - 1] ^= 1 << (j - 1)
+        rows[j - 1] ^= 1 << (i - 1)
+        return Graph(R.n, rows)
+
+    monkeypatch.setattr(rgraph.Graph, "reverse_direct", flipped)
+    report = verify_catalan_diameters(4)
+    assert report.to_line() == line
+    assert replay_witness(flipped(catalan_graph(order)), report.witness)
+
+
 def test_extremal_pairs_fault_injection():
     CG8 = catalan_graph(8)
     rows = list(CG8.rows)
@@ -171,6 +199,27 @@ def test_mixed_size_bound_any_pattern(rng):
         a = ASequence(random_io_bits(rng, 52))
         report = verify_mixed_size(4, 2, 1, a)
         assert report.passed, report.to_line()
+
+
+@pytest.mark.parametrize(
+    "vertex, lost",
+    [(1, 17), (20, 11)],  # vertex 1, and vertex 2^k + 2^m
+)
+def test_mixed_size_neighbor_fault_injection(monkeypatch, vertex, lost):
+    # k = 4, m = 2: n = 21; the lost edge keeps the diameter at its bound 3
+    G = build_bell_aseq(aseq_ones(20), 21)
+    rows = list(G.rows)
+    rows[vertex - 1] &= ~(1 << (lost - 1))
+    rows[lost - 1] &= ~(1 << (vertex - 1))
+    tampered = Graph(21, rows)
+    monkeypatch.setattr(analysis, "build_bell_aseq", lambda a, n: tampered)
+    report = verify_mixed_size(4, 2, 0, aseq_ones(20))
+    assert report.to_line() == (
+        "mixed-size [aseq=11111111111111111111,k=4,m=2,n=21,s=0] fail checks=1 "
+        f"witness[extra=[],kind=neighbor-set,missing=[{lost}],n=21,vertex={vertex}]"
+    )
+    assert replay_witness(tampered, report.witness)
+    assert not replay_witness(G, report.witness)
 
 
 def test_mixed_size_usage_errors():

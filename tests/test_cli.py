@@ -228,7 +228,7 @@ def test_usage_exit_codes(capsys):
         ["scan", "1", "--aseq-ones", "3", "--nmax", "12"],
         # priced before the descriptor is extended to order 10^20
         ["scan", "1", "--aseq", "11", "--nmax", str(10**20)],
-        # sizes past 2^63, which fail Python's size check before any allocation
+        # sizes past 2^63, refused by the price before any allocation
         ["graph", "--aseq", "11", "-n", str(10**20)],
         ["graph", "--g", "1", "-n", str(10**20)],
         ["metric", "--aseq", "11", "-n", str(10**20), "diameter"],
@@ -249,6 +249,82 @@ def test_scan1_priced_before_descriptor_is_extended(capsys):
     code, out, err = run(capsys, "scan", "1", "--aseq", "11", "--nmax", str(10**20))
     assert code == 2 and out == ""
     assert "budget" in err and "Traceback" not in err
+
+
+# past the one price (graphs x sum of n^2 at the default budget 10^8)
+PRICED_OUT = [
+    ["graph", "--aseq", "11", "-n", "1000000000"],
+    ["graph", "--family", "catalan", "-n", "1000000000000"],
+    ["graph", "--g", "1", "-n", "10001"],
+    ["metric", "--family", "pascal", "-n", "10001", "diameter"],
+    ["verify", "monotonicity", "--family", "catalan", "--k", "10", "--mmax", "10"],
+    ["verify", "structural", "--family", "catalan", "--nmax", "669"],
+    ["verify", "fractal", "--family", "catalan", "--n", "10001"],
+    ["verify", "catalan-diameters", "--kmax", "13"],
+    ["verify", "catalan-diameters", "--kmax", "1000"],
+    ["verify", "mixed-size", "--family", "catalan", "--k", "14", "--m", "1"],
+    ["verify", "diameter-drop", "--family", "catalan", "--k", "14"],
+]
+
+
+@pytest.mark.parametrize("argv", PRICED_OUT)
+def test_oversize_commands_refused_before_building(capsys, monkeypatch, argv):
+    from riordangraphs import analysis, cli, rgraph
+
+    def unpriced(*args, **kwargs):
+        raise AssertionError("built before the price was charged")
+
+    for module, name in [(cli, "_aseq"), (cli, "catalan_graph"), (cli, "pascal_graph"),
+                         (cli, "build_bell_aseq"), (rgraph, "build"),
+                         (analysis, "verify_catalan_diameters")]:
+        monkeypatch.setattr(module, name, unpriced)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: estimate ") and err.endswith(" exceeds budget 100000000\n")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, orders",
+    [
+        (["graph", "--family", "catalan", "-n", "6"], [6]),
+        (["metric", "--aseq", "11", "-n", "4", "diameter"], [4]),
+        (["graph", "--family", "catalan", "-n", "-3"], [0]),  # the builder refuses it
+        (["verify", "structural", "--aseq", "11", "--nmax", "5"], [1, 2, 3, 4, 5]),
+        (["verify", "fractal", "--family", "catalan", "--n", "33"], [33]),
+        (["verify", "catalan-diameters", "--kmax", "3"], [1, 2, 3, 4, 7, 8]),
+        (["verify", "mixed-size", "--family", "catalan", "--k", "3", "--m", "2"], [13]),
+        (["verify", "monotonicity", "--family", "catalan", "--k", "2", "--mmax", "3"],
+         [32, 16, 8, 4]),
+        (["verify", "diameter-drop", "--aseq", "1100", "--k", "4"], [16]),
+    ],
+)
+def test_commands_price_the_orders_they_measure(capsys, monkeypatch, argv, orders):
+    from riordangraphs import cli
+    from riordangraphs.errors import DEFAULT_BUDGET, ScaleError
+
+    charged = []
+
+    def guard(graphs, priced, budget):
+        charged.append((graphs, list(priced), budget))
+        raise ScaleError("priced")
+
+    monkeypatch.setattr(cli, "_guard", guard)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: priced\n")
+    assert charged == [(1, orders, DEFAULT_BUDGET)]
+
+
+def test_price_boundary():
+    from riordangraphs.cli import _price
+    from riordangraphs.errors import ScaleError
+
+    _price((10**4,))
+    _price(range(1, 669))  # 99,582,434 visits
+    with pytest.raises(ScaleError):
+        _price((10**4 + 1,))
+    with pytest.raises(ScaleError):
+        _price(range(1, 670))
 
 
 def test_closed_stdout_exit2():
@@ -284,6 +360,7 @@ print(" ".join(set(sys.modules) - before))
     [
         ([], set()),
         (["graph", "--aseq", "10", "-n", "5"], set()),
+        (["metric", "--aseq", "11", "-n", "4", "distance", "1", "4"], set()),
         (["scan", "2", "-k", "3", "--jobs", "1"], {"riordangraphs.search"}),
         (["verify", "fractal", "--family", "catalan", "--s", "3", "--n", "33"],
          {"riordangraphs.analysis"}),

@@ -36,6 +36,8 @@ from oracles import (
     bfs_dists,
     brute_clique,
     diameter_oracle,
+    io_coloring_oracle,
+    io_violation_oracle,
     poly_mul_mod2,
     random_io_bits,
     random_proper_f_bits,
@@ -351,6 +353,15 @@ def test_reverse_direct_involution_and_prints(rng):
         assert all(rev.neighbors(v) == oracle[v] for v in oracle)
 
 
+def test_reverse_direct_against_oracle_at_padding_orders():
+    # orders around the row width of the one-string reversal
+    for n in (1, 2, 6, 7, 8, 33, 100, 128):
+        for G in (catalan_graph(n), pascal_graph(n)):
+            oracle = reverse_adj_oracle(G)
+            rev = G.reverse_direct()
+            assert all(rev.neighbors(v) == oracle[v] for v in oracle)
+
+
 def test_reverse_formula_closed_forms():
     for k in (2, 3, 4, 5):
         n = 1 << k
@@ -433,6 +444,34 @@ def test_io_coloring_detects_violation():
     u, v = err.value.pair
     assert {u, v} == {2, 4}
     assert tampered.adjacent(u, v)
+
+
+def test_io_coloring_matches_hop_loop_oracle():
+    CG = catalan_graph(512)
+    for n in range(1, 513):
+        assert CG.induced_prefix(n).io_coloring() == tuple(io_coloring_oracle(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(4, 80), st.randoms(use_true_random=False), st.data())
+def test_io_coloring_violation_matches_oracle(n, rnd, data):
+    # an io graph plus one edge inside a colour class: the colouring is
+    # the hop loop's, and the error names the oracle's first pair
+    G = io_graph(random_io_bits(rnd, n - 1), n)
+    colors = io_coloring_oracle(n)
+    assert G.io_coloring() == tuple(colors)
+    assert io_violation_oracle(adj_sets(G), colors) is None
+    u, v = data.draw(st.sampled_from([
+        (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+        if colors[u - 1] == colors[v - 1] and not G.adjacent(u, v)
+    ]))
+    rows = list(G.rows)
+    rows[u - 1] |= 1 << (v - 1)
+    rows[v - 1] |= 1 << (u - 1)
+    tampered = Graph(n, rows)
+    with pytest.raises(IoViolationError) as err:
+        tampered.io_coloring()
+    assert (*err.value.pair, err.value.color) == io_violation_oracle(adj_sets(tampered), colors)
 
 
 def test_is_io_decomposable_by_definition():
