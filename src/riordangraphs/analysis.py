@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .binseries import BinarySeries
-from .errors import IoViolationError, UsageError
+from .errors import DEFAULT_BUDGET, IoViolationError, UsageError, _guard_exponent
 from .riordan import ASequence, RiordanPair, io_pattern_extend, require_io_pattern
 from .rgraph import DEFAULT_CLIQUE_CAP, Graph, build, build_bell_aseq, catalan_graph
 
@@ -74,19 +74,24 @@ def _floor_log2(n: int) -> int:
 def claim_order(claim: str, k: int, m: int = 1, s: int = 0, m_max: int = 1) -> int:
     """The order of the largest graph a verifier builds: mixed-size reads
     (k, m, s), monotonicity (k, m_max), diameter-drop k.  The claim's
-    range checks come first, so no shift count is ever negative."""
+    range checks come first, so no shift count is ever negative; then an
+    order of 2^32 or more is refused at the default budget by its exponent,
+    before it is formed."""
     if claim == "mixed-size":
         if not (k > m >= 1) or s < 0:
             raise UsageError(f"need k > m >= 1 and s >= 0, got k={k}, m={m}, s={s}")
-        return 1 + (1 << m) + sum(1 << (k + j) for j in range(s + 1))
+        _guard_exponent(k + s, DEFAULT_BUDGET)
+        return 1 + (1 << m) + (((1 << (s + 1)) - 1) << k)
     if claim == "monotonicity":
         if k < 2:
             raise UsageError(f"need k >= 2, got {k}")
         if m_max < 1:
             raise UsageError(f"need m_max >= 1, got {m_max}")
+        _guard_exponent(k + m_max, DEFAULT_BUDGET)
         return 1 << (k + m_max)
     if k < 4:  # diameter-drop
         raise UsageError(f"need k >= 4, got {k}")
+    _guard_exponent(k, DEFAULT_BUDGET)
     return 1 << k
 
 

@@ -193,8 +193,9 @@ def _cmd_scan(args) -> int:
         if flag == "alen":
             a_len, sequences = value, None
         else:
-            # priced before the descriptor is extended to order --nmax
-            search.price_conjecture1(args.nmax, 1, args.budget)
+            # priced before the descriptor is extended to order --nmax, entries too
+            length = value if flag == "aseq_ones" else len(value)
+            search.price_conjecture1(args.nmax, [max(length, args.nmax - 1)], args.budget)
             a_len, sequences = None, [_aseq(flag, value, args.nmax)]
         report = search.scan_conjecture1(
             args.nmax, a_len=a_len, sequences=sequences,

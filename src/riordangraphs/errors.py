@@ -24,6 +24,14 @@ def _guard(graphs: int, orders: Sequence[int], budget: int) -> None:
         raise ScaleError(f"estimate {size} vertex-visits exceeds budget {budget}")
 
 
+def _guard_exponent(e: int, budget: int) -> None:
+    """Refuse an order of at least 2^e before it is formed: it costs at least
+    4^e vertex visits.  Below 2^64 the price is cheap to form, and `_guard`
+    reports it exactly."""
+    if 2 * e >= max(budget.bit_length(), 64):
+        raise ScaleError(f"estimate over 2^{2 * e} vertex-visits exceeds budget {budget}")
+
+
 class RiordanError(Exception):
     """Base class for every error this package raises on purpose."""
 

@@ -29,12 +29,14 @@ from .errors import (
 from .riordan import (
     ASequence,
     RiordanPair,
+    _columns,
+    _iter_bits,
+    _transpose,
     bell_matrix_from_aseq,
     catalan_pair,
     io_pattern_extend,
     pascal_pair,
     require_io_pattern,
-    riordan_matrix,
 )
 
 __all__ = [
@@ -58,13 +60,6 @@ class DistanceReport(NamedTuple):
 
     def distance(self, v: int) -> Optional[int]:
         return self.dists[v - 1]
-
-
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class Graph:
@@ -221,12 +216,8 @@ class Graph:
         if any(vs[k] >= vs[k + 1] for k in range(len(vs) - 1)):
             raise UsageError("induced vertex set must be strictly increasing")
         idx = [self._check_vertex(v) for v in vs]
-        m = len(idx)
-        rows = []
-        for i in idx:
-            r = self.rows[i]
-            rows.append(sum(((r >> j) & 1) << k for k, j in enumerate(idx)))
-        return Graph(m, rows)
+        cols = _transpose([self.rows[i] for i in idx], self.n)
+        return Graph(len(idx), [cols[i] for i in idx])
 
     def induced_prefix(self, n: int) -> "Graph":
         """Induced subgraph on vertices 1..n (a leading principal block)."""
@@ -367,13 +358,9 @@ class Graph:
         return f"{type(self).__name__}(n={self.n}, edges={self.edge_count()})"
 
 
-def _from_triangle(tri_rows: Sequence[int]) -> Graph:
-    """Graph whose vertex i has triangle row i-2 as its neighbours j < i."""
-    rows = [0, *tri_rows]
-    for i, below in enumerate(tri_rows, start=1):
-        for j in _iter_bits(below):
-            rows[j] |= 1 << i
-    return Graph(len(rows), rows)
+def _symmetric(half: Sequence[int]) -> Graph:
+    """Graph of the strict triangle `half`, upper or lower, ORed with its transpose."""
+    return Graph(len(half), [r | t for r, t in zip(half, _transpose(half, len(half)))])
 
 
 def build(pair: RiordanPair, n: int) -> Graph:
@@ -386,7 +373,8 @@ def build(pair: RiordanPair, n: int) -> Graph:
         raise PrecisionError(
             f"pair precision {pair.precision} too small for graph order {n}"
         )
-    return _from_triangle(riordan_matrix(pair, n - 1).rows)
+    # column j, g f^j, shifted by one is vertex j + 1's row above the diagonal
+    return _symmetric([c << 1 for c in _columns(pair, n - 1)] + [0])
 
 
 def build_bell_aseq(a: ASequence, n: int) -> Graph:
@@ -403,7 +391,7 @@ def build_bell_aseq(a: ASequence, n: int) -> Graph:
         raise LengthError(
             f"order {n} needs an A-sequence of length {n - 1}, got {len(a)}"
         )
-    return _from_triangle(bell_matrix_from_aseq(a, n - 1).rows)
+    return _symmetric([0, *bell_matrix_from_aseq(a, n - 1).rows])
 
 
 def catalan_graph(n: int) -> Graph:

@@ -14,7 +14,7 @@ A-sequence literals are bit strings with a_0 first, e.g. "1100000".
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterable, Sequence, Union
 
 from .binseries import BinarySeries, named_series
@@ -201,6 +201,32 @@ class BinaryTriangle:
         return f"BinaryTriangle(order={self.order})"
 
 
+def _iter_bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _transpose(masks: Sequence[int], width: int) -> list[int]:
+    """The bit matrix `masks` read by columns: bit j of out[i] is bit i of
+    masks[j], for masks below 2^width.  This is the one place where bits
+    move between row and column order."""
+    out = [0] * width
+    for j, mask in enumerate(masks):
+        bit = 1 << j
+        for i in _iter_bits(mask):
+            out[i] |= bit
+    return out
+
+
+def _columns(pair: RiordanPair, n: int) -> list[int]:
+    """Columns g f^j, j < n, of the leading n x n block, as masks: bit i is row i."""
+    f = pair.f.truncate(n)
+    cols = accumulate(repeat(f, n - 1), BinarySeries.mul, initial=pair.g.truncate(n))
+    return [c.bits for c in cols]
+
+
 def riordan_matrix(pair: RiordanPair, n: int) -> BinaryTriangle:
     """Leading n x n block of the matrix of (g, f): entry (i, j) = [z^i] g f^j."""
     if n < 1:
@@ -209,18 +235,7 @@ def riordan_matrix(pair: RiordanPair, n: int) -> BinaryTriangle:
         raise PrecisionError(
             f"pair precision {pair.precision} too small for order {n}"
         )
-    g = pair.g.truncate(n)
-    f = pair.f.truncate(n)
-    col = g
-    rows = [0] * n
-    for j in range(n):
-        bits = col.bits
-        while bits:
-            low = bits & -bits
-            rows[low.bit_length() - 1] |= 1 << j
-            bits ^= low
-        col = col.mul(f)
-    return BinaryTriangle(rows)
+    return BinaryTriangle(_transpose(_columns(pair, n), n))
 
 
 def bell_matrix_from_aseq(a: ASequence, n: int) -> BinaryTriangle:
@@ -263,11 +278,8 @@ def bell_matrix_from_aseq(a: ASequence, n: int) -> BinaryTriangle:
 
 def g_from_aseq(a: ASequence, precision: int) -> BinarySeries:
     """Column 0 of the Bell triangle read back as a series."""
-    tri = bell_matrix_from_aseq(a, precision)
-    bits = 0
-    for i in range(precision):
-        bits |= (tri.rows[i] & 1) << i
-    return BinarySeries(bits, precision)
+    rows = bell_matrix_from_aseq(a, precision).rows
+    return BinarySeries(_transpose([r & 1 for r in rows], 1)[0], precision)
 
 
 def a_sequence(pair: RiordanPair, length: int) -> ASequence:

@@ -5,7 +5,8 @@ lexicographic position of the A-sequence) no matter how many worker
 processes ran.  Scanned sequences pass `riordan.require_io_pattern`.
 The one price, `errors._guard` (graphs x sum of n^2 BFS vertex visits,
 iFUB's worst case, the two reference graphs counted), refuses a scan
-before anything is built, and the same count sizes its process pool.
+before anything is built, and the same count sizes its process pool;
+scan 1 of given sequences also pays their entries once per record.
 
 CSV schema for scan records: n,aseq,diam,diam_catalan,diam_pascal,verdict
 with exit semantics: a scan "fails" exactly when violations were found.
@@ -19,7 +20,7 @@ from functools import partial
 from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import DEFAULT_BUDGET, UsageError, _guard, _square_sum
+from .errors import DEFAULT_BUDGET, ScaleError, UsageError, _guard, _guard_exponent, _square_sum
 from .riordan import ASequence, require_io_pattern
 from .rgraph import Graph, build_bell_aseq, catalan_graph, pascal_graph
 
@@ -125,10 +126,14 @@ def counterexample_family(length: int, ones: int = 16) -> ASequence:
     return ASequence([1] * ones + [0] * (length - ones))
 
 
-def price_conjecture1(n_max: int, sequences: int, budget: int) -> None:
-    """Refuse scan 1 of `sequences` Bell graphs and the two references to
-    order `n_max` past `budget`, before any of them is built."""
-    _guard(sequences + 2, range(4, n_max + 1), budget)
+def price_conjecture1(n_max: int, lengths: Sequence[int], budget: int) -> None:
+    """Refuse scan 1 past `budget`, before anything is built: the Bell graphs
+    of A-sequences with `lengths` entries and the two references, measured
+    at orders 4..n_max; and the entries, which every record holds and prints."""
+    _guard(len(lengths) + 2, range(4, n_max + 1), budget)
+    entries = sum(lengths) * max(n_max - 3, 0)
+    if entries > budget:
+        raise ScaleError(f"estimate {entries} A-sequence entries exceeds budget {budget}")
 
 
 def _io_space(
@@ -242,7 +247,7 @@ def scan_conjecture1(
         sequences = _io_space(a_len, orders, budget)
     else:
         sequences = list(sequences)
-        price_conjecture1(n_max, len(sequences), budget)
+        price_conjecture1(n_max, [len(a) for a in sequences], budget)
         for a in sequences:
             require_io_pattern(a, n_max)
 
@@ -286,6 +291,7 @@ def scan_conjecture2(
         raise UsageError("k must be at least 1")
     if sample is not None and sample < 1:
         raise UsageError(f"sample must be at least 1, got {sample}")
+    _guard_exponent(k, budget)
     n = 1 << k
     length = n - 1 if n > 2 else 2
     if sample is None and k > EXHAUSTIVE_MAX_K:

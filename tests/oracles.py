@@ -2,11 +2,12 @@
 
 Everything here recomputes from first principles with plain lists,
 exact big integers or dict-of-set graphs -- never through the package's
-bit-packed code paths.  The one bit-packed oracle is the all-sources
-diameter, the library's former kernel, kept as the reference for its
-iFUB diameter: it reads a graph's `n` and `rows` and nothing else, and is
-itself checked against the dict-of-sets `diameter_oracle`.  Only the
-standard library is used.
+bit-packed code paths.  The bit-packed oracles are the library's former
+kernels, kept as references: the all-sources diameter for its iFUB
+diameter (it reads a graph's `n` and `rows` and nothing else, and is
+itself checked against the dict-of-sets `diameter_oracle`), and the
+per-bit scatter, mirror and gather for its one bit-matrix transpose
+(they read plain masks).  Only the standard library is used.
 """
 
 from collections import deque
@@ -110,6 +111,45 @@ def catalan_bell_entry_ints(i, j, cat):
     for _ in range(j):
         col = poly_mul_ints(col, [0] + cat, len(cat))
     return col[i]
+
+
+# -- per-bit row and column moves ---------------------------------------------
+
+def _set_bits(mask):
+    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
+def column_scatter_rows(g_bits, f_bits, n):
+    """Rows (bit j = entry (i, j)) of the leading n x n block of the matrix
+    of (g, f): each column g f^j, a shift-and-XOR product mod z^n, scattered
+    into the rows one bit at a time."""
+    full = (1 << n) - 1
+    col = g_bits & full
+    rows = [0] * n
+    for j in range(n):
+        for i in _set_bits(col):
+            rows[i] |= 1 << j
+        prod = 0
+        for t in _set_bits(f_bits):
+            prod ^= col << t
+        col = prod & full
+    return rows
+
+
+def triangle_mirror_rows(tri_rows):
+    """Adjacency rows of the graph whose vertex i has triangle row i - 2 as
+    its neighbours j < i, each bit mirrored one at a time."""
+    rows = [0, *tri_rows]
+    for i, below in enumerate(tri_rows, start=1):
+        for j in _set_bits(below):
+            rows[j] |= 1 << i
+    return rows
+
+
+def induced_gather_rows(rows, idx):
+    """Rows of the subgraph on the increasing 0-based vertices `idx`,
+    gathered one bit at a time."""
+    return [sum(((rows[i] >> j) & 1) << k for k, j in enumerate(idx)) for i in idx]
 
 
 # -- graphs -------------------------------------------------------------------

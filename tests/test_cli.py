@@ -264,6 +264,8 @@ PRICED_OUT = [
     ["verify", "catalan-diameters", "--kmax", "1000"],
     ["verify", "mixed-size", "--family", "catalan", "--k", "14", "--m", "1"],
     ["verify", "diameter-drop", "--family", "catalan", "--k", "14"],
+    # 10^8 entries held and printed by each of 5 records
+    ["scan", "1", "--aseq-ones", str(10**8), "--nmax", "8"],
 ]
 
 
@@ -282,6 +284,35 @@ def test_oversize_commands_refused_before_building(capsys, monkeypatch, argv):
     assert (code, out) == (2, "")
     assert err.startswith("error: estimate ") and err.endswith(" exceeds budget 100000000\n")
     assert err.count("\n") == 1
+
+
+# refused by an exponent or an entry count before the order or sequence is
+# formed; at these sizes forming them took up to tens of MB
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "monotonicity", "--family", "catalan", "--k", "2", "--mmax", str(10**6)],
+        ["verify", "mixed-size", "--family", "catalan", "--k", "3", "--m", "2", "--s", str(10**6)],
+        ["verify", "mixed-size", "--family", "catalan", "--k", str(10**7), "--m", "2"],
+        ["verify", "diameter-drop", "--family", "catalan", "--k", str(10**7)],
+        ["scan", "2", "-k", str(10**7), "--sample", "1"],
+        ["scan", "1", "--aseq-ones", str(10**6), "--nmax", "8", "--budget", str(10**6)],
+    ],
+)
+def test_refusals_allocate_under_a_megabyte(capsys, argv):
+    import tracemalloc
+
+    from riordangraphs import analysis, search  # noqa: F401, imported before tracing
+
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: estimate ") and err.count("\n") == 1
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 import random
 
 import pytest
@@ -15,7 +15,14 @@ from riordangraphs.errors import (
     UsageError,
 )
 from riordangraphs.golden import printed_cg4_reverse, printed_cg6, printed_cg8_reverse
-from riordangraphs.riordan import ASequence, RiordanPair, catalan_pair
+from riordangraphs.riordan import (
+    ASequence,
+    RiordanPair,
+    bell_matrix_from_aseq,
+    catalan_pair,
+    g_from_aseq,
+    riordan_matrix,
+)
 from riordangraphs.rgraph import (
     Graph,
     build,
@@ -35,7 +42,9 @@ from oracles import (
     bell_graph_adj,
     bfs_dists,
     brute_clique,
+    column_scatter_rows,
     diameter_oracle,
+    induced_gather_rows,
     io_coloring_oracle,
     io_violation_oracle,
     poly_mul_mod2,
@@ -43,11 +52,19 @@ from oracles import (
     random_proper_f_bits,
     random_unit_bits,
     reverse_adj_oracle,
+    triangle_mirror_rows,
 )
 
 
 def io_graph(bits, n):
     return build_bell_aseq(ASequence(bits), n)
+
+
+def k5_sample(seed):
+    """A seeded 2,048 of the 32,768 io patterns of length 31 (order 32)."""
+    for free in random.Random(seed).sample(range(1 << 15), 2048):
+        # free bit m fills a_{2m+2} and a_{2m+3}; a_30 is unpaired
+        yield [1, 1] + [(free >> (p // 2 - 1)) & 1 for p in range(2, 31)]
 
 
 # -- construction ---------------------------------------------------------
@@ -74,8 +91,11 @@ def test_build_precision_error():
 
 
 def test_build_bell_aseq_matches_pairs():
-    assert io_graph([1] * 7, 8).rows == catalan_graph(8).rows
-    assert io_graph([1, 1] + [0] * 5, 8).rows == pascal_graph(8).rows
+    # series columns against the Bell recurrence: two independent constructions
+    for n in [*range(1, 301), 1024, 2048]:
+        length = max(n - 1, 2)
+        assert io_graph([1] * length, n) == catalan_graph(n)
+        assert io_graph([1, 1] + [0] * (length - 2), n) == pascal_graph(n)
     path = io_graph([1] + [0] * 6, 8)
     assert path.rows == build(
         RiordanPair(named_series("one", 8), named_series("z", 8)), 8
@@ -102,6 +122,24 @@ def test_build_equals_literal_entries(n, rnd):
             assert G.adjacent(i, j) == G.adjacent(j, i) == bool(col[i - 2])
         col = poly_mul_mod2(col, f, prec)
     assert all(not G.adjacent(v, v) for v in range(1, n + 1))
+
+
+def test_construction_against_per_bit_loops():
+    # every io graph of order 2^k for k <= 4, and a seeded sample of 2,048
+    # of the 32,768 at k = 5
+    cases = [(1 << k, a) for k in range(1, 5) for a in enumerate_io_aseqs(max((1 << k) - 1, 2))]
+    cases += [(32, ASequence(bits)) for bits in k5_sample(0x7A5)]
+    for n, a in cases:
+        G = build_bell_aseq(a, n)
+        assert G.rows == tuple(triangle_mirror_rows(bell_matrix_from_aseq(a, n - 1).rows))
+        g = g_from_aseq(a, n - 1)
+        pair = RiordanPair(g, named_series("z", n - 1).mul(g))
+        assert riordan_matrix(pair, n - 1).rows == tuple(
+            column_scatter_rows(g.bits, pair.f.bits, n - 1)
+        )
+        assert build(pair, n) == G
+        odd = range(0, n, 2)
+        assert G.induced([v + 1 for v in odd]).rows == tuple(induced_gather_rows(G.rows, odd))
 
 
 def test_build_order_one():
@@ -210,11 +248,7 @@ def test_pair_graphs_disconnected_witness():
 
 
 def test_ifub_against_all_sources_on_k5_sample():
-    # a seeded sample of the k = 5 io space: 2,048 of its 32,768 graphs
-    rng = random.Random(0x1F0B)
-    for free in rng.sample(range(1 << 15), 2048):
-        # free bit m fills a_{2m+2} and a_{2m+3}; a_30 is unpaired
-        bits = [1, 1] + [(free >> (p // 2 - 1)) & 1 for p in range(2, 31)]
+    for bits in k5_sample(0x1F0B):
         G = io_graph(bits, 32)
         want = all_sources_diameter_pairs(G)
         assert G.diameter() == want[0]
@@ -318,6 +352,23 @@ def test_induced():
         CG6.induced([3, 1])
     with pytest.raises(UsageError):
         CG6.induced([])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 70), st.integers(0, 2**32))
+def test_induced_against_dict_of_sets(n, seed):
+    rnd = random.Random(seed)
+    density = rnd.random()
+    adj = {v: set() for v in range(1, n + 1)}
+    for u, v in combinations(range(1, n + 1), 2):
+        if rnd.random() < density:
+            adj[u].add(v)
+            adj[v].add(u)
+    G = Graph(n, [sum(1 << (u - 1) for u in adj[v]) for v in range(1, n + 1)])
+    drawn = sorted(rnd.sample(range(1, n + 1), rnd.randint(1, n)))
+    for vs in ([1], [n], list(range(1, n + 1)), drawn):
+        want = {k: {l for l, u in enumerate(vs, 1) if u in adj[v]} for k, v in enumerate(vs, 1)}
+        assert adj_sets(G.induced(vs)) == want
 
 
 @settings(max_examples=80, deadline=None)

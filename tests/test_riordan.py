@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from riordangraphs.binseries import BinarySeries, named_series
 from riordangraphs.errors import (
@@ -21,6 +22,7 @@ from riordangraphs.riordan import (
     pascal_pair,
     riordan_matrix,
     RiordanPair,
+    _transpose,
 )
 
 from oracles import bell_triangle_lists, catalan_ints, random_io_bits, random_unit_bits
@@ -136,6 +138,23 @@ def test_bell_matrix_against_list_recurrence(rng):
         for i in range(n):
             for j in range(i + 1):
                 assert tri.entry(i, j) == oracle[i][j]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 70).flatmap(
+    lambda w: st.tuples(st.just(w), st.lists(st.integers(0, (1 << w) - 1), max_size=70))
+))
+@example((0, []))
+@example((0, [0, 0]))
+@example((70, [(1 << 70) - 1] * 70))
+def test_transpose_is_the_per_entry_definition(case):
+    width, masks = case
+    out = _transpose(masks, width)
+    assert len(out) == width
+    assert all(0 <= col < 1 << len(masks) for col in out)
+    for i in range(width):
+        for j, mask in enumerate(masks):
+            assert (out[i] >> j) & 1 == (mask >> i) & 1
 
 
 def test_g_from_aseq():

@@ -14,6 +14,7 @@ from riordangraphs.search import (
     mixed_size_orders,
     reproduce_counterexamples,
     reproduce_tables,
+    price_conjecture1,
     scan_conjecture1,
     scan_conjecture2,
     scan_conjecture3,
@@ -178,6 +179,15 @@ def test_scan2_budget_guard():
     # refused before any sequence of length 2^40 - 1 is built
     with pytest.raises(ScaleError):
         scan_conjecture2(40, sample=2)
+
+
+def test_scan1_prices_sequence_entries():
+    # at order 8 each sequence's entries are held and printed by 5 records
+    price_conjecture1(8, [2 * 10**7], 10**8)
+    with pytest.raises(ScaleError):
+        price_conjecture1(8, [2 * 10**7 + 1], 10**8)
+    with pytest.raises(ScaleError):
+        scan_conjecture1(8, sequences=[ASequence([1] * 401)], budget=2000)
 
 
 def test_scan2_jobs_deterministic(monkeypatch):
