@@ -229,7 +229,8 @@ def verify_fractal(
     """Windows of width 2^s (+1) along the vertex line repeat the leading block."""
     if s < 0 or alpha_max < 1:
         raise UsageError("need s >= 0 and alpha_max >= 1")
-    if (alpha_max + 1) * (1 << s) + 1 > n:
+    # s past n's bit length fails the same test, refused before 2^s is formed
+    if s >= n.bit_length() or (alpha_max + 1) * (1 << s) + 1 > n:
         raise UsageError(
             f"order {n} too small for s={s}, alpha_max={alpha_max}"
         )

@@ -91,7 +91,7 @@ class BinarySeries:
         return tuple((self.bits >> k) & 1 for k in range(self.precision))
 
     def to_bitstring(self) -> str:
-        return "".join("1" if (self.bits >> k) & 1 else "0" for k in range(self.precision))
+        return _to_bitstring(self.bits, self.precision)
 
     def is_zero(self) -> bool:
         return self.bits == 0
@@ -202,6 +202,13 @@ class BinarySeries:
 
     def __repr__(self) -> str:
         return f"BinarySeries({self.to_bitstring()!r})"
+
+
+def _to_bitstring(mask: int, width: int) -> str:
+    """`mask` as '0'/'1' text, bit k as character k, for 0 <= mask < 2^width
+    and width >= 1: the one layout of masks as text, which `from_bitstring`
+    reads back."""
+    return format(mask, f"0{width}b")[::-1]
 
 
 def from_bitstring(s: str) -> BinarySeries:

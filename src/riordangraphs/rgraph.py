@@ -7,17 +7,16 @@ be grown from a binary A-sequence.  Since r(i, j) does not depend on n,
 the graph of order m of a pair is the leading m x m block of every
 larger graph of that pair, which `Graph.induced_prefix` takes.
 
-Adjacency is stored as bit rows: bit j-1 of rows[i-1] says whether
-vertices i and j are adjacent.  Vertices are 1-based everywhere in this
-module; the 0-based series/triangle layer is converted inside the
-builders only.
+Adjacency is stored as bit rows, and bit b of a row is vertex b + 1:
+bit j-1 of rows[i-1] says whether vertices i and j are adjacent.  Every
+public method takes and gives 1-based labels and converts by that rule.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .binseries import BinarySeries
+from .binseries import BinarySeries, _to_bitstring
 from .errors import (
     DisconnectedError,
     IoViolationError,
@@ -317,11 +316,7 @@ class Graph:
     # -- exports -------------------------------------------------------------
 
     def to_matrix_lines(self) -> list[str]:
-        n = self.n
-        return [
-            "".join("1" if (r >> j) & 1 else "0" for j in range(n))
-            for r in self.rows
-        ]
+        return [_to_bitstring(r, self.n) for r in self.rows]
 
     def to_dot(self, name: str = "G") -> str:
         lines = [f"graph {name} {{"]

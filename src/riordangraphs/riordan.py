@@ -6,8 +6,8 @@ proper when g(0) = 1 and f'(0) = 1; a proper matrix is equivalently
 described by its binary A-sequence (1, a_1, a_2, ...), related to f by
 f = z*A(f), i.e. A = z / fbar with fbar the compositional inverse of f.
 
-Triangles here are 0-indexed.  Graph vertices elsewhere are 1-based; the
-conversion happens inside the graph builders, nowhere else.
+Triangles here are 0-indexed; `rgraph` states how its 1-based graph
+vertices sit in bits.
 
 A-sequence literals are bit strings with a_0 first, e.g. "1100000".
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import accumulate, repeat
 from typing import Iterable, Sequence, Union
 
-from .binseries import BinarySeries, named_series
+from .binseries import BinarySeries, _to_bitstring, named_series
 from .errors import InvertibilityError, LengthError, PatternError
 from .errors import PrecisionError, UsageError
 
@@ -94,19 +94,23 @@ class ASequence:
         return BinarySeries(mask, precision)
 
 
+def _io_pattern(frees: Sequence[int], length: int) -> tuple[int, ...]:
+    """(1, 1, f0, f0, f1, f1, ...) cut to `length`, with 0 for the frees
+    past the end of `frees`: the io pattern whose free bits a2, a4, ...
+    (a trailing unpaired slot too) are `frees`."""
+    bits = [1, 1] + [0] * (2 * len(frees))
+    bits[2::2] = bits[3::2] = frees
+    return (*bits, *repeat(0, length - len(bits)))[:length]
+
+
 def is_io_pattern(a: ASequence) -> bool:
-    """True when a fits (1, 1, a2, a2, a4, a4, ...).
+    """True when a fits (1, 1, a2, a2, a4, a4, ...): it is at least two
+    long and the pattern of its own free bits a2, a4, ...
 
     Adjacent entries are constrained in pairs (a_{2j}, a_{2j+1}); a
     trailing unpaired even-indexed entry is free.
     """
-    bits = a.bits
-    if len(bits) < 2 or bits[1] != 1:
-        return False
-    for j in range(3, len(bits), 2):
-        if bits[j] != bits[j - 1]:
-            return False
-    return True
+    return len(a) >= 2 and a.bits == _io_pattern(a.bits[2::2], len(a))
 
 
 def require_io_pattern(a: ASequence, order: int) -> None:
@@ -121,14 +125,10 @@ def require_io_pattern(a: ASequence, order: int) -> None:
 
 
 def io_pattern_extend(a: ASequence, length: int) -> ASequence:
-    """Extend a pattern prefix: odd slots copy their pair opener, new even
-    slots get 0 (callers only use positions where that choice cancels out)."""
-    if length <= len(a):
-        return ASequence(a.bits[:length])
-    bits = list(a.bits)
-    for i in range(len(bits), length):
-        bits.append(bits[i - 1] if i % 2 == 1 else 0)
-    return ASequence(bits)
+    """Cut or extend an io pattern to `length`: odd slots copy their pair
+    opener, new even slots get 0 (callers only use positions where that
+    choice cancels out)."""
+    return ASequence(_io_pattern(a.bits[2::2], length))
 
 
 class RiordanPair:
@@ -184,10 +184,7 @@ class BinaryTriangle:
         return tuple((self.rows[i] >> j) & 1 for i in range(j, self.order))
 
     def to_lines(self) -> list[str]:
-        return [
-            "".join("1" if (r >> j) & 1 else "0" for j in range(i + 1))
-            for i, r in enumerate(self.rows)
-        ]
+        return [_to_bitstring(r, i + 1) for i, r in enumerate(self.rows)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinaryTriangle):

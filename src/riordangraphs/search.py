@@ -17,11 +17,12 @@ from __future__ import annotations
 import os
 import random
 from functools import partial
+from itertools import product
 from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DEFAULT_BUDGET, ScaleError, UsageError, _guard, _guard_exponent, _square_sum
-from .riordan import ASequence, require_io_pattern
+from .riordan import ASequence, _io_pattern, require_io_pattern
 from .rgraph import Graph, build_bell_aseq, catalan_graph, pascal_graph
 
 __all__ = [
@@ -97,16 +98,6 @@ class ConjectureReport:
         return [CSV_HEADER] + [r.to_csv() for r in self.records]
 
 
-def _io_aseq(value: int, length: int) -> ASequence:
-    """The io pattern of `length` whose free bits a2, a4, ... (a trailing
-    unpaired slot too), read with a2 as the most significant, spell `value`."""
-    bits = [1, 1]
-    for shift in range((length - 1) // 2 - 1, -1, -1):
-        b = (value >> shift) & 1
-        bits += (b, b)
-    return ASequence(bits[:length])
-
-
 def enumerate_io_aseqs(length: int) -> Iterator[ASequence]:
     """All io-pattern A-sequences of a given length.
 
@@ -115,8 +106,8 @@ def enumerate_io_aseqs(length: int) -> Iterator[ASequence]:
     """
     if length < 2:
         raise UsageError(f"pattern sequences need length >= 2, got {length}")
-    for value in range(1 << ((length - 1) // 2)):
-        yield _io_aseq(value, length)
+    for frees in product((0, 1), repeat=(length - 1) // 2):
+        yield ASequence(_io_pattern(frees, length))
 
 
 def counterexample_family(length: int, ones: int = 16) -> ASequence:
@@ -153,7 +144,11 @@ def _io_space(
     seen = {(1 << frees) - 1}  # always include the Catalan prefix
     while len(seen) < count:
         seen.add(rng.getrandbits(frees))
-    return [_io_aseq(value, length) for value in sorted(seen)]
+    # free bits a2, a4, ... read with a2 as the most significant
+    return [
+        ASequence(_io_pattern(tuple(map(int, format(value, f"0{frees}b"))), length))
+        for value in sorted(seen)
+    ]
 
 
 def _prefix_diameters(full: Graph, orders: Sequence[int]) -> dict[int, int]:
@@ -337,6 +332,9 @@ def scan_conjecture3(
     """diam(CG_n) = s + 2 (m = 1) or s + 3 at the admissible mixed orders."""
     if n_max < 8:
         raise UsageError("n_max must be at least 8")
+    # 2^e - 1 <= n_max is admissible (m = 1, k = 2, s = e - 3, for e >= 4):
+    # its price bounds the scan's from below before the orders are listed
+    _guard_exponent(n_max.bit_length() - 2, budget)
     orders = mixed_size_orders(n_max)
     measured = [o[0] for o in orders]
     _guard(1, measured, budget)  # CG_n_max, measured at the mixed orders

@@ -5,9 +5,11 @@ exact big integers or dict-of-set graphs -- never through the package's
 bit-packed code paths.  The bit-packed oracles are the library's former
 kernels, kept as references: the all-sources diameter for its iFUB
 diameter (it reads a graph's `n` and `rows` and nothing else, and is
-itself checked against the dict-of-sets `diameter_oracle`), and the
+itself checked against the dict-of-sets `diameter_oracle`), the
 per-bit scatter, mirror and gather for its one bit-matrix transpose
-(they read plain masks).  Only the standard library is used.
+(they read plain masks), the per-bit text loops for its one mask-to-text
+layout, and the per-slot io loops for its one free-bits-to-pattern
+layout.  Only the standard library is used.
 """
 
 from collections import deque
@@ -150,6 +152,62 @@ def induced_gather_rows(rows, idx):
     """Rows of the subgraph on the increasing 0-based vertices `idx`,
     gathered one bit at a time."""
     return [sum(((rows[i] >> j) & 1) << k for k, j in enumerate(idx)) for i in idx]
+
+
+# -- per-bit text and per-slot io patterns --------------------------------------
+
+def matrix_lines_loop(G):
+    """Adjacency rows of a package graph as '0'/'1' lines, column j as
+    character j, one bit at a time."""
+    n = G.n
+    return ["".join("1" if (r >> j) & 1 else "0" for j in range(n)) for r in G.rows]
+
+
+def triangle_lines_loop(T):
+    """Rows of a package triangle as '0'/'1' lines, row i of length i + 1,
+    one bit at a time."""
+    return [
+        "".join("1" if (r >> j) & 1 else "0" for j in range(i + 1))
+        for i, r in enumerate(T.rows)
+    ]
+
+
+def series_bitstring_loop(s):
+    """Coefficients of a package series as '0'/'1' text, degree 0 first,
+    one bit at a time."""
+    return "".join("1" if (s.bits >> k) & 1 else "0" for k in range(s.precision))
+
+
+def is_io_pattern_loop(bits):
+    """Whether `bits` fits (1, 1, a2, a2, a4, a4, ...), pair by pair; a
+    trailing unpaired slot is free."""
+    if len(bits) < 2 or bits[1] != 1:
+        return False
+    for j in range(3, len(bits), 2):
+        if bits[j] != bits[j - 1]:
+            return False
+    return True
+
+
+def io_pattern_extend_loop(bits, length):
+    """A pattern cut to `length`, or extended slot by slot: odd slots copy
+    their pair opener, new even slots get 0."""
+    if length <= len(bits):
+        return tuple(bits[:length])
+    bits = list(bits)
+    for i in range(len(bits), length):
+        bits.append(bits[i - 1] if i % 2 == 1 else 0)
+    return tuple(bits)
+
+
+def io_value_bits(value, length):
+    """The io pattern of `length` whose free bits a2, a4, ..., read with a2
+    as the most significant, spell `value`, pair by pair."""
+    bits = [1, 1]
+    for shift in range((length - 1) // 2 - 1, -1, -1):
+        b = (value >> shift) & 1
+        bits += (b, b)
+    return tuple(bits[:length])
 
 
 # -- graphs -------------------------------------------------------------------

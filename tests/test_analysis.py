@@ -28,6 +28,20 @@ def aseq_pascal(length):
     return ASequence([1, 1] + [0] * (length - 2))
 
 
+def flip(G, *edges):
+    """G with each edge {i, j} toggled."""
+    rows = list(G.rows)
+    for i, j in edges:
+        rows[i - 1] ^= 1 << (j - 1)
+        rows[j - 1] ^= 1 << (i - 1)
+    return Graph(G.n, rows)
+
+
+def at_order(n, method, tamper):
+    """`method` of Graph, with `tamper(G, result)` applied on order-n graphs."""
+    return lambda G, *args: tamper(G, method(G, *args)) if G.n == n else method(G, *args)
+
+
 # -- structural -----------------------------------------------------------
 
 def test_structural_catalan_and_pascal():
@@ -69,6 +83,62 @@ def test_structural_fault_injection():
     assert check_structural_order(catalan_graph(8)) is None
 
 
+@pytest.mark.parametrize(
+    "n, edge, witness, line",
+    [
+        (9, (2, 9), {"kind": "universal-vertex-missing", "n": 9, "vertex": 9},
+         "structural [aseq=11111111,n_max=9] fail checks=8 "
+         "witness[kind=universal-vertex-missing,n=9,vertex=9]"),
+        # the clique drop leaves vertex 2 short of universal at order 2,
+        # where the verifier stops first
+        (4, (1, 2), {"kind": "clique-size", "n": 4, "got": 2, "want": 3},
+         "structural [aseq=111,n_max=4] fail checks=1 "
+         "witness[kind=universal-vertex-missing,n=2,vertex=2]"),
+        (7, (5, 7), {"kind": "diameter-bound", "n": 7, "got": 3, "bound": 2},
+         "structural [aseq=111111,n_max=7] fail checks=6 "
+         "witness[bound=2,got=3,kind=diameter-bound,n=7]"),
+        # the refined bound floor(log2(n - 2^k)) + 1 = 2, below floor(log2 11) = 3
+        (11, (9, 11), {"kind": "diameter-bound", "n": 11, "got": 3, "bound": 2},
+         "structural [aseq=1111111111,n_max=11] fail checks=10 "
+         "witness[bound=2,got=3,kind=diameter-bound,n=11]"),
+    ],
+)
+def test_structural_witnesses_from_adjacency(monkeypatch, n, edge, witness, line):
+    G = catalan_graph(n)
+    tampered = flip(G, edge)
+    assert check_structural_order(tampered) == witness
+    monkeypatch.setattr(analysis, "build_bell_aseq", lambda a, m: tampered)
+    assert verify_structural(aseq_ones(n - 1), n).to_line() == line
+    assert replay_witness(tampered, witness)
+    assert not replay_witness(G, witness)
+
+
+@pytest.mark.parametrize(
+    "n, method, tamper, witness, line",
+    [
+        # a proper io colouring has its size in closed form, so only a
+        # tampered colouring can have the wrong number of classes
+        (8, "io_coloring", lambda G, colors: (0,) * G.n,
+         {"kind": "coloring-size", "n": 8, "got": 1, "want": 4},
+         "structural [aseq=1111111,n_max=8] fail checks=7 "
+         "witness[got=1,kind=coloring-size,n=8,want=4]"),
+        # at n = 2^k + 2 the universal vertex 2^k + 1 keeps the diameter at 2
+        (10, "diameter", lambda G, diam: diam + 1,
+         {"kind": "diameter-exact", "n": 10, "got": 3, "want": 2},
+         "structural [aseq=111111111,n_max=10] fail checks=9 "
+         "witness[got=3,kind=diameter-exact,n=10,want=2]"),
+    ],
+)
+def test_structural_witnesses_from_tampered_methods(monkeypatch, n, method, tamper, witness, line):
+    G = catalan_graph(n)
+    with monkeypatch.context() as m:
+        m.setattr(Graph, method, at_order(n, getattr(Graph, method), tamper))
+        assert check_structural_order(G) == witness
+        assert verify_structural(aseq_ones(n - 1), n).to_line() == line
+        assert replay_witness(G, witness)
+    assert not replay_witness(G, witness)
+
+
 # -- fractal ----------------------------------------------------------------
 
 def test_fractal_catalan():
@@ -104,7 +174,20 @@ def test_fractal_usage_errors():
         verify_fractal(aseq_ones(32), -1, 2, 33)
 
 
-def test_fractal_fault_injection():
+def test_fractal_refuses_a_large_s_before_forming_2_to_the_s():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError, match="^order 33 too small for s=10000000, alpha_max=3$"):
+            verify_fractal(aseq_ones(32), 10**7, 3, 33)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
+
+
+def test_fractal_fault_injection(monkeypatch):
     G = catalan_graph(33)
     rows = list(G.rows)
     rows[8] ^= 1 << 10  # perturb inside the alpha=1 window of size 8
@@ -112,6 +195,11 @@ def test_fractal_fault_injection():
     tampered = Graph(33, rows)
     witness = check_fractal_window(tampered, 3, 1)
     assert witness is not None and witness["kind"] == "window-entry"
+    monkeypatch.setattr(analysis, "build_bell_aseq", lambda a, n: tampered)
+    assert verify_fractal(aseq_ones(32), 3, 3, 33).to_line() == (
+        "fractal [alpha_max=3,aseq=11111111111111111111111111111111,n=33,s=3] fail checks=0 "
+        "witness[alpha=1,i=1,j=3,kind=window-entry,lead=1,s=3,size=9,window=0]"
+    )
 
 
 def test_entry_witnesses_replay_from_their_fields():
@@ -172,6 +260,57 @@ def test_catalan_diameters_reversal_fault_injection(monkeypatch, order, i, j, li
     assert replay_witness(flipped(catalan_graph(order)), report.witness)
 
 
+def test_catalan_diameters_extremal_fault_injection(monkeypatch):
+    # edge {1, 5} dropped from CG_8: diameter 4, not k = 3
+    G = catalan_graph(8)
+    tampered = flip(G, (1, 5))
+    witness = {"kind": "diameter", "n": 8, "got": 4, "want": 3}
+    assert check_extremal_pairs(tampered, 3) == witness
+    monkeypatch.setattr(analysis, "catalan_graph", lambda n: tampered if n == 8 else catalan_graph(n))
+    assert verify_catalan_diameters(3).to_line() == (
+        "catalan-diameters [k_max=3] fail checks=2 witness[got=4,kind=diameter,n=8,want=3]"
+    )
+    assert replay_witness(tampered, witness)
+    assert not replay_witness(G, witness)
+
+
+def test_catalan_diameters_below_power_fault_injection(monkeypatch):
+    # no single edge flip of CG_8 moves diam(CG_7) off 2 and keeps the extremal pairs
+    # of CG_8, so the order-7 prefix itself loses edge {5, 7}
+    prefix = Graph.induced_prefix
+    monkeypatch.setattr(
+        Graph, "induced_prefix", lambda G, n: flip(prefix(G, n), (5, 7)) if n == 7 else prefix(G, n)
+    )
+    report = verify_catalan_diameters(3)
+    monkeypatch.undo()
+    assert report.to_line() == (
+        "catalan-diameters [k_max=3] fail checks=2 witness[got=3,kind=diameter,n=7,want=2]"
+    )
+    assert replay_witness(flip(catalan_graph(7), (5, 7)), report.witness)
+    assert not replay_witness(catalan_graph(7), report.witness)
+
+
+def test_catalan_diameters_max_neighbor_fault_injection(monkeypatch):
+    # edge {3, 9} added to the reversed CG_16 and to the graph of its pair
+    # alike: the reversal check passes, and vertex 3's largest neighbour is
+    # 9, not 2 * 3
+    monkeypatch.setattr(
+        Graph, "reverse_direct", at_order(16, Graph.reverse_direct, lambda G, R: flip(R, (3, 9)))
+    )
+    build = analysis.build
+    monkeypatch.setattr(
+        analysis, "build", lambda pair, n: flip(build(pair, n), (3, 9)) if n == 16 else build(pair, n)
+    )
+    report = verify_catalan_diameters(4)
+    monkeypatch.undo()
+    assert report.to_line() == (
+        "catalan-diameters [k_max=4] fail checks=3 witness[got=9,i=3,kind=max-neighbor,n=16,want=6]"
+    )
+    rev = catalan_graph(16).reverse_direct()
+    assert replay_witness(flip(rev, (3, 9)), report.witness)
+    assert not replay_witness(rev, report.witness)
+
+
 def test_extremal_pairs_fault_injection():
     CG8 = catalan_graph(8)
     rows = list(CG8.rows)
@@ -222,6 +361,28 @@ def test_mixed_size_neighbor_fault_injection(monkeypatch, vertex, lost):
     assert not replay_witness(G, report.witness)
 
 
+@pytest.mark.parametrize(
+    "k, m, edge, line",
+    [
+        # edge {9, 11} dropped: diameter 3 past the bound s + 2 = 2
+        (3, 1, (9, 11), "mixed-size [aseq=1111111111,k=3,m=1,n=11,s=0] fail checks=0 "
+                        "witness[bound=2,got=3,kind=diameter-bound,n=11]"),
+        # edge {3, 12} added: diameter 2 below the exact value s + 3 = 3
+        (3, 2, (3, 12), "mixed-size [aseq=111111111111,k=3,m=2,n=13,s=0] fail checks=1 "
+                        "witness[got=2,kind=diameter-exact,n=13,want=3]"),
+    ],
+)
+def test_mixed_size_diameter_fault_injection(monkeypatch, k, m, edge, line):
+    n = 1 + (1 << m) + (1 << k)
+    G = build_bell_aseq(aseq_ones(n - 1), n)
+    tampered = flip(G, edge)
+    monkeypatch.setattr(analysis, "build_bell_aseq", lambda a, order: tampered)
+    report = verify_mixed_size(k, m, 0, aseq_ones(n - 1))
+    assert report.to_line() == line
+    assert replay_witness(tampered, report.witness)
+    assert not replay_witness(G, report.witness)
+
+
 def test_mixed_size_usage_errors():
     with pytest.raises(UsageError):
         verify_mixed_size(2, 2, 0, aseq_ones(13))
@@ -242,7 +403,33 @@ def test_monotonicity():
         verify_monotonicity(aseq_ones(31), 1, 2)
 
 
+def test_monotonicity_fault_injection(monkeypatch):
+    # edge {4, 5} dropped: diam(G_8) = 4, past diam(G_4) + 1 = 3
+    G = build_bell_aseq(aseq_ones(31), 32)
+    tampered = flip(G, (4, 5))
+    monkeypatch.setattr(analysis, "build_bell_aseq", lambda a, n: tampered)
+    report = verify_monotonicity(aseq_ones(31), 2, 3)
+    assert report.to_line() == (
+        "monotonicity [aseq=1111111111111111111111111111111,k=2,m_max=3] fail checks=0 "
+        "witness[bound=3,got=4,kind=diameter-bound,n=8]"
+    )
+    assert replay_witness(tampered.induced_prefix(8), report.witness)
+    assert not replay_witness(G.induced_prefix(8), report.witness)
+
+
 # -- diameter drop -----------------------------------------------------------------
+
+def test_diameter_drop_fault_injection(monkeypatch):
+    # the Pascal sequence's graph swapped for CG_16, of diameter 4 = k
+    monkeypatch.setattr(analysis, "build_bell_aseq", lambda a, n: catalan_graph(n))
+    report = verify_diameter_drop(aseq_pascal(15), 4)
+    assert report.to_line() == (
+        "diameter-drop [aseq=110000000000000,k=4,n=16] fail checks=0 "
+        "witness[bound=3,got=4,kind=diameter-bound,n=16]"
+    )
+    assert replay_witness(catalan_graph(16), report.witness)
+    assert not replay_witness(build_bell_aseq(aseq_pascal(15), 16), report.witness)
+
 
 def test_diameter_drop_block_shape():
     shape = ASequence([1] * 14 + [0] * 17)  # 2^4 - 2 ones then zeros
@@ -285,6 +472,11 @@ def test_report_lines():
     a, b = analysis.VerificationReport("x", {}), analysis.VerificationReport("x", {})
     a.notes.append("n")
     assert b.notes == [] and b.verdict == analysis.PASS and b.witness is None
+
+
+def test_replay_rejects_an_unknown_kind():
+    with pytest.raises(UsageError, match="^unknown witness kind 'bogus'$"):
+        replay_witness(catalan_graph(4), {"kind": "bogus"})
 
 
 def test_failed_report_carries_replayable_witness():

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, strategies as st
 
-from riordangraphs.binseries import BinarySeries, from_bitstring, named_series
+from riordangraphs.binseries import BinarySeries, _to_bitstring, from_bitstring, named_series
 from riordangraphs.errors import CompositionError, InvertibilityError, PrecisionError, UsageError
 
 from oracles import (
@@ -10,6 +11,7 @@ from oracles import (
     poly_mul_mod2,
     random_proper_f_bits,
     random_unit_bits,
+    series_bitstring_loop,
 )
 
 
@@ -231,6 +233,15 @@ def test_bitstring_roundtrip(rng):
         from_bitstring("10a1")
     with pytest.raises(UsageError):
         from_bitstring("")
+
+
+@given(st.integers(1, 300).flatmap(lambda w: st.tuples(st.just(w), st.integers(0, (1 << w) - 1))))
+def test_mask_text_round_trip(case):
+    width, mask = case
+    text = _to_bitstring(mask, width)
+    assert text == series_bitstring_loop(BinarySeries(mask, width))
+    assert BinarySeries(mask, width).to_bitstring() == text
+    assert from_bitstring(text) == BinarySeries(mask, width)
 
 
 def test_truncate():

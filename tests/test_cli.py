@@ -286,8 +286,8 @@ def test_oversize_commands_refused_before_building(capsys, monkeypatch, argv):
     assert err.count("\n") == 1
 
 
-# refused by an exponent or an entry count before the order or sequence is
-# formed; at these sizes forming them took up to tens of MB
+# refused by an exponent or an entry count before the order, sequence or
+# list of orders is formed; at these sizes forming them took up to tens of MB
 @pytest.mark.parametrize(
     "argv",
     [
@@ -296,6 +296,7 @@ def test_oversize_commands_refused_before_building(capsys, monkeypatch, argv):
         ["verify", "mixed-size", "--family", "catalan", "--k", str(10**7), "--m", "2"],
         ["verify", "diameter-drop", "--family", "catalan", "--k", str(10**7)],
         ["scan", "2", "-k", str(10**7), "--sample", "1"],
+        ["scan", "3", "--nmax", str(10**20)],
         ["scan", "1", "--aseq-ones", str(10**6), "--nmax", "8", "--budget", str(10**6)],
     ],
 )

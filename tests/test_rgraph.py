@@ -47,6 +47,7 @@ from oracles import (
     induced_gather_rows,
     io_coloring_oracle,
     io_violation_oracle,
+    matrix_lines_loop,
     poly_mul_mod2,
     random_io_bits,
     random_proper_f_bits,
@@ -575,6 +576,12 @@ def test_exports():
     dcsv = CG6.distances_csv().splitlines()
     assert dcsv[0] == "v,1,2,3,4,5,6"
     assert len(dcsv) == 7 and dcsv[1].startswith("1,0,1,1,")
+
+
+def test_matrix_text_against_the_loop():
+    for n in (1, 2, 7, 8, 33, 1024):
+        for G in (catalan_graph(n), pascal_graph(n), catalan_graph(n).reverse_direct()):
+            assert G.to_matrix_lines() == matrix_lines_loop(G)
 
 
 def test_graph_equality_and_repr():

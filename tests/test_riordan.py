@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,10 +23,20 @@ from riordangraphs.riordan import (
     pascal_pair,
     riordan_matrix,
     RiordanPair,
+    _io_pattern,
     _transpose,
 )
 
-from oracles import bell_triangle_lists, catalan_ints, random_io_bits, random_unit_bits
+from oracles import (
+    bell_triangle_lists,
+    catalan_ints,
+    io_bit_tuples,
+    io_pattern_extend_loop,
+    is_io_pattern_loop,
+    random_io_bits,
+    random_unit_bits,
+    triangle_lines_loop,
+)
 
 
 def test_catalan_bit_examples():
@@ -67,6 +78,30 @@ def test_io_pattern_extend():
     assert io_pattern_extend(a, 6).bits == (1, 1, 1, 1, 0, 0)
     assert io_pattern_extend(a, 8).bits == (1, 1, 1, 1, 0, 0, 0, 0)
     assert io_pattern_extend(a, 3).bits == (1, 1, 1)
+
+
+def test_io_pattern_against_brute_force():
+    for length in range(1, 17):
+        patterns = io_bit_tuples(length)
+        assert [_io_pattern(bits[2::2], length) for bits in patterns] == patterns
+    assert _io_pattern((), 1) == (1,)
+    assert _io_pattern((1,), 7) == (1, 1, 1, 1, 0, 0, 0)  # frees past the end are 0
+
+
+def test_io_pattern_test_and_extension_against_the_loops():
+    for length in range(1, 13):
+        for tail in product((0, 1), repeat=length - 1):
+            a = ASequence((1,) + tail)
+            assert is_io_pattern(a) == is_io_pattern_loop(a.bits)
+            if is_io_pattern(a):
+                for target in range(1, 16):
+                    assert io_pattern_extend(a, target).bits == io_pattern_extend_loop(a.bits, target)
+
+
+def test_triangle_text_against_the_loop():
+    for n in (1, 2, 7, 8, 33, 256):
+        for tri in (riordan_matrix(catalan_pair(n), n), riordan_matrix(pascal_pair(n), n)):
+            assert tri.to_lines() == triangle_lines_loop(tri)
 
 
 def test_riordan_matrix_identity_and_catalan_column():

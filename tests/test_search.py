@@ -26,6 +26,7 @@ from oracles import (
     diameter_oracle,
     extremal_io_attainers,
     io_bit_tuples,
+    io_value_bits,
 )
 
 
@@ -49,6 +50,16 @@ def test_enumerate_len15_first_six_ones():
     seqs = [a for a in enumerate_io_aseqs(15) if a.bits[:6] == (1,) * 6]
     assert len(seqs) == 32
     assert all(is_io_pattern(a) for a in seqs)
+
+
+def test_enumeration_and_sample_against_the_loops():
+    for length in range(2, 13):
+        want = [io_value_bits(value, length) for value in range(1 << ((length - 1) // 2))]
+        assert [a.bits for a in enumerate_io_aseqs(length)] == want == io_bit_tuples(length)
+    sample = search._io_space(63, [64], 10**12, sample=100, seed=3)
+    values = sorted(int("".join(map(str, a.bits[2::2])), 2) for a in sample)
+    assert len(values) == 100 and values[-1] == (1 << 31) - 1  # all-ones among them
+    assert [a.bits for a in sample] == [io_value_bits(value, 63) for value in values]
 
 
 def test_counterexample_family():
