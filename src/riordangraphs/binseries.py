@@ -88,7 +88,7 @@ class BinarySeries:
         return (self.bits >> k) & 1
 
     def coeffs(self) -> tuple[int, ...]:
-        return tuple((self.bits >> k) & 1 for k in range(self.precision))
+        return tuple(map(int, self.to_bitstring()))
 
     def to_bitstring(self) -> str:
         return _to_bitstring(self.bits, self.precision)

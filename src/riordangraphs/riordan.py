@@ -51,14 +51,11 @@ class ASequence:
     __slots__ = ("bits",)
 
     def __init__(self, bits: Union[Iterable[int], str]):
-        if isinstance(bits, str):
-            if not bits or set(bits) - {"0", "1"}:
-                raise UsageError(f"bad A-sequence literal {bits!r}")
-            vals = tuple(int(c) for c in bits)
-        else:
-            vals = tuple(int(b) for b in bits)
-            if any(b not in (0, 1) for b in vals):
-                raise UsageError("A-sequence entries must be bits")
+        if isinstance(bits, str) and (not bits or set(bits) - {"0", "1"}):
+            raise UsageError(f"bad A-sequence literal {bits!r}")
+        vals = tuple(map(int, bits))
+        if not {0, 1}.issuperset(vals):
+            raise UsageError("A-sequence entries must be bits")
         if not vals or vals[0] != 1:
             raise UsageError("a binary A-sequence starts with a_0 = 1")
         self.bits = vals
@@ -81,7 +78,7 @@ class ASequence:
         return f"ASequence({self.to_bitstring()!r})"
 
     def to_bitstring(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return bytes(self.bits).translate(bytes.maketrans(b"\0\1", b"01")).decode()
 
     def series(self, precision: int | None = None) -> BinarySeries:
         """The generating function A(z) of this prefix."""
@@ -90,8 +87,8 @@ class ASequence:
             raise LengthError(
                 f"A-sequence of length {len(self.bits)} cannot give precision {precision}"
             )
-        mask = sum(b << k for k, b in enumerate(self.bits[:precision]))
-        return BinarySeries(mask, precision)
+        # the series keeps the first `precision` bits of the whole mask
+        return BinarySeries(int(self.to_bitstring()[::-1], 2), precision)
 
 
 def _io_pattern(frees: Sequence[int], length: int) -> tuple[int, ...]:
@@ -248,9 +245,10 @@ def bell_matrix_from_aseq(a: ASequence, n: int) -> BinaryTriangle:
     if len(a) < n:
         raise LengthError(f"order {n} needs an A-sequence of length {n}, got {len(a)}")
     bits = a.bits[:n]
+    text = a.to_bitstring()[:n]
     shifts = [t for t, b in enumerate(bits) if b]
-    shifted_a = sum(1 << t for t in shifts) >> 1  # bit j = a_{j+1}
-    reversed_a = sum(1 << (n - 1 - t) for t in shifts)  # bit n-1-t = a_t
+    shifted_a = int(text[::-1], 2) >> 1  # bit j = a_{j+1}
+    reversed_a = int(text, 2)  # bit n-1-t = a_t
     rows = [1]
     row = 1
     for i, live in zip(range(1, n), accumulate(bits)):

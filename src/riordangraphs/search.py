@@ -3,10 +3,12 @@
 Scans are deterministic: records come out sorted by (order, free-bit
 lexicographic position of the A-sequence) no matter how many worker
 processes ran.  Scanned sequences pass `riordan.require_io_pattern`.
-The one price, `errors._guard` (graphs x sum of n^2 BFS vertex visits,
-iFUB's worst case, the two reference graphs counted), refuses a scan
-before anything is built, and the same count sizes its process pool;
-scan 1 of given sequences also pays their entries once per record.
+`_scan` is the one path from A-sequences to diameter rows: the scans
+and the reproductions of the paper's tables and counterexample list
+read their rows off it.  The one price, `_price` (graphs x sum of n^2
+BFS vertex visits, iFUB's worst case, the two reference graphs counted;
+then the A-sequence entries that the records hold), refuses a scan
+before anything is built, and the same visit count sizes its pool.
 
 CSV schema for scan records: n,aseq,diam,diam_catalan,diam_pascal,verdict
 with exit semantics: a scan "fails" exactly when violations were found.
@@ -117,14 +119,20 @@ def counterexample_family(length: int, ones: int = 16) -> ASequence:
     return ASequence([1] * ones + [0] * (length - ones))
 
 
-def price_conjecture1(n_max: int, lengths: Sequence[int], budget: int) -> None:
-    """Refuse scan 1 past `budget`, before anything is built: the Bell graphs
-    of A-sequences with `lengths` entries and the two references, measured
-    at orders 4..n_max; and the entries, which every record holds and prints."""
-    _guard(len(lengths) + 2, range(4, n_max + 1), budget)
-    entries = sum(lengths) * max(n_max - 3, 0)
+def _price(graphs: int, entries: int, orders: Sequence[int], budget: int) -> None:
+    """The one scan price: refuse, before anything is built, `graphs` Bell
+    graphs and the two references measured at `orders` past `budget`, then
+    their A-sequences' `entries`, which a record holds at every order."""
+    _guard(graphs + 2, orders, budget)
+    entries *= len(orders)
     if entries > budget:
         raise ScaleError(f"estimate {entries} A-sequence entries exceeds budget {budget}")
+
+
+def price_conjecture1(n_max: int, lengths: Sequence[int], budget: int) -> None:
+    """Refuse scan 1 past `budget`, before anything is built: the `_price` of
+    A-sequences with `lengths` entries at orders 4..n_max."""
+    _price(len(lengths), sum(lengths), range(4, n_max + 1), budget)
 
 
 def _io_space(
@@ -132,12 +140,12 @@ def _io_space(
     sample: Optional[int] = None, seed: int = 0,
 ) -> list[ASequence]:
     """Every io pattern of `length`, or `sample` distinct ones (all-ones among
-    them) drawn with `seed`, priced at `orders` with the two references first."""
+    them) drawn with `seed`, priced (`_price`) at `orders` first."""
     frees = (length - 1) // 2  # a2, a4, ...
     # 2^frees is capped past 2^64 and the budget, which the guard refuses alike
     space = 1 << min(frees, max(budget.bit_length(), 64) + 1)
     count = space if sample is None else min(sample, space)
-    _guard(count + 2, orders, budget)
+    _price(count, count * length, orders, budget)
     if count == space:
         return list(enumerate_io_aseqs(length))
     rng = random.Random(seed)
@@ -153,10 +161,7 @@ def _io_space(
 
 def _prefix_diameters(full: Graph, orders: Sequence[int]) -> dict[int, int]:
     """Diameter of each leading block of `full` whose order is in `orders`."""
-    return {
-        n: (full if n == full.n else full.induced_prefix(n)).diameter()
-        for n in orders
-    }
+    return {n: (full if n == full.n else full.induced_prefix(n)).diameter() for n in orders}
 
 
 def _sequence_diameters(a: ASequence, n_max: int, orders: Sequence[int]) -> tuple[int, ...]:
@@ -166,23 +171,6 @@ def _sequence_diameters(a: ASequence, n_max: int, orders: Sequence[int]) -> tupl
     return tuple(_prefix_diameters(full, orders).values())
 
 
-def _diameters(
-    sequences: Sequence[ASequence], n_max: int, orders: Sequence[int], jobs: int
-) -> list[tuple[int, ...]]:
-    """Diameters at `orders` of each sequence's order-`n_max` graph, in
-    sequence order, on min(jobs, cpu count, len(sequences), visits //
-    POOL_MIN_VISITS) processes, with visits the scan's price."""
-    work = partial(_sequence_diameters, n_max=n_max, orders=orders)
-    visits = len(sequences) * _square_sum(orders)
-    procs = min(jobs, os.cpu_count() or 1, len(sequences), visits // POOL_MIN_VISITS)
-    if procs <= 1:
-        return [work(a) for a in sequences]
-    from multiprocessing import Pool
-
-    with Pool(processes=procs) as pool:
-        return pool.map(work, sequences, chunksize=-(-len(sequences) // procs))
-
-
 def _scan(
     sequences: Sequence[ASequence],
     n_max: int,
@@ -190,13 +178,24 @@ def _scan(
     jobs: int,
     verdict: Callable[[str, int, int], str],
 ) -> tuple[list[SearchRecord], dict[int, int]]:
-    """One record per (order, sequence), sorted by (n, aseq), and the
-    Pascal reference diameters.  Bell diameters come from `_diameters`,
-    the references from the prefixes of CG and PG of order `n_max`;
+    """The one path from A-sequences to diameter rows: one record per
+    (order, sequence), sorted by (n, aseq), and the Pascal reference
+    diameters.  The references are the prefixes of CG and PG of order
+    `n_max`; the Bell diameters run on min(jobs, cpu count, len(sequences),
+    visits // POOL_MIN_VISITS) processes, with visits the scan's price;
     `verdict(aseq, diam, diam_catalan)` rates each record."""
     ref_catalan = _prefix_diameters(catalan_graph(n_max), orders)
     ref_pascal = _prefix_diameters(pascal_graph(n_max), orders)
-    results = _diameters(sequences, n_max, orders, jobs)
+    work = partial(_sequence_diameters, n_max=n_max, orders=orders)
+    visits = len(sequences) * _square_sum(orders)
+    procs = min(jobs, os.cpu_count() or 1, len(sequences), visits // POOL_MIN_VISITS)
+    if procs <= 1:
+        results = map(work, sequences)
+    else:
+        from multiprocessing import Pool
+
+        with Pool(processes=procs) as pool:
+            results = pool.map(work, sequences, chunksize=-(-len(sequences) // procs))
     records = [
         SearchRecord(
             n, name, d, ref_catalan[n], ref_pascal[n], verdict(name, d, ref_catalan[n])
@@ -208,6 +207,16 @@ def _scan(
     records.sort(key=attrgetter("aseq"))
     records.sort(key=attrgetter("n"))
     return records, ref_pascal
+
+
+def _band(d: int, low: int, high: int) -> str:
+    """UPPER above `high`, LOWER below `low`, else WITHIN."""
+    return UPPER if d > high else LOWER if d < low else WITHIN
+
+
+def _conjecture1(name: str, d: int, d_catalan: int) -> str:
+    """Scan 1's verdict: diam(PG_n) = 2 <= diam(G_n) <= diam(CG_n)."""
+    return _band(d, 2, d_catalan)
 
 
 # -- scans --------------------------------------------------------------------
@@ -236,9 +245,7 @@ def scan_conjecture1(
         if a_len is None:
             raise UsageError("need a_len or an explicit sequence list")
         if a_len < n_max - 1:
-            raise UsageError(
-                f"a_len {a_len} cannot determine graphs up to order {n_max}"
-            )
+            raise UsageError(f"a_len {a_len} cannot determine graphs up to order {n_max}")
         sequences = _io_space(a_len, orders, budget)
     else:
         sequences = list(sequences)
@@ -246,10 +253,7 @@ def scan_conjecture1(
         for a in sequences:
             require_io_pattern(a, n_max)
 
-    records, ref_pascal = _scan(
-        sequences, n_max, orders, jobs,
-        lambda name, d, d_catalan: UPPER if d > d_catalan else LOWER if d < 2 else WITHIN,
-    )
+    records, ref_pascal = _scan(sequences, n_max, orders, jobs, _conjecture1)
     off_two = {r.aseq for r in records if r.diam != 2}
     return ConjectureReport(
         "1",
@@ -342,16 +346,9 @@ def scan_conjecture3(
     report = ConjectureReport("3", {"n_max": n_max, "orders": len(orders)})
     for n, k, m, s in orders:
         want = s + 2 if m == 1 else s + 3
-        got = diams[n]
-        if got == want:
-            verdict = WITHIN
-        elif got > want:
-            verdict = UPPER
-        else:
-            verdict = LOWER
-        report.records.append(
-            SearchRecord(n, f"catalan(k={k},m={m},s={s})", got, want, 2, verdict)
-        )
+        report.records.append(SearchRecord(
+            n, f"catalan(k={k},m={m},s={s})", diams[n], want, 2, _band(diams[n], want, want)
+        ))
     return report
 
 
@@ -359,11 +356,11 @@ def scan_conjecture3(
 
 def reproduce_counterexamples(n_max: int = 100) -> list[tuple[int, int, int]]:
     """Rows (n, diam(CG_n), diam(G_n)) where the sixteen-ones family
-    exceeds the Catalan diameter, for 4 <= n <= n_max."""
-    orders = range(4, n_max + 1)
-    (fam,) = _diameters([counterexample_family(max(n_max - 1, 16))], n_max, orders, jobs=1)
-    cat = _prefix_diameters(catalan_graph(n_max), orders)
-    return [(n, cat[n], d) for n, d in zip(orders, fam) if d > cat[n]]
+    exceeds the Catalan diameter, for 4 <= n <= n_max: scan 1's upper
+    violations on that family."""
+    family = [counterexample_family(max(n_max - 1, 16))]
+    records, _ = _scan(family, n_max, range(4, n_max + 1), 1, _conjecture1)
+    return [(r.n, r.diam_catalan, r.diam) for r in records if r.verdict == UPPER]
 
 
 class TableRow(NamedTuple):
@@ -388,54 +385,44 @@ class TableReproduction(NamedTuple):
 
 
 def _reproduce_table(
-    name: str,
-    sequences: list[ASequence],
-    n: int,
-    printed: list[tuple[str, int]],
+    name: str, records: list[SearchRecord], printed: list[tuple[str, int]]
 ) -> TableReproduction:
-    """Diameters of the order-`n` graphs of `sequences` against print."""
-    computed = [
-        (a.to_bitstring(), d)
-        for a, (d,) in zip(sequences, _diameters(sequences, n, [n], jobs=1))
-    ]
+    """The diameters of `_scan`'s `records` against print."""
     printed_by_seq: dict[str, list[int]] = {}
     for seq, diam in printed:
         printed_by_seq.setdefault(seq, []).append(diam)
     rows = []
-    for seq, diam in computed:
-        values = tuple(printed_by_seq.get(seq, ()))
-        if not values:
-            status = "absent-from-print"
-        elif len(set(values)) > 1:
-            status = "conflicting-print"
-        elif values[0] == diam:
-            status = "match"
-        else:
-            status = "mismatch"
-        rows.append(TableRow(seq, diam, status, values))
+    for r in records:
+        values = tuple(printed_by_seq.get(r.aseq, ()))
+        status = (
+            "absent-from-print" if not values
+            else "conflicting-print" if len(set(values)) > 1
+            else "match" if values[0] == r.diam else "mismatch"
+        )
+        rows.append(TableRow(r.aseq, r.diam, status, values))
     duplicates = [
         (seq, len(vals), tuple(vals))
         for seq, vals in printed_by_seq.items()
         if len(vals) > 1
     ]
-    computed_seqs = {seq for seq, _ in computed}
-    omitted = [seq for seq, _ in computed if seq not in printed_by_seq]
-    foreign = sorted(set(printed_by_seq) - computed_seqs)
+    omitted = [r.aseq for r in records if r.aseq not in printed_by_seq]
+    foreign = sorted(set(printed_by_seq) - {r.aseq for r in records})
     return TableReproduction(name, rows, duplicates, omitted, foreign)
 
 
 def reproduce_tables() -> tuple[TableReproduction, TableReproduction]:
     """Recompute both printed diameter tables and diff them against print.
 
-    Table "diam8": all 8 patterns of length 7 at order 8.  Table
-    "diam16": the 32 patterns of length 15 whose first six entries are
-    ones, at order 16.  The printed versions ship as golden data; the
-    recomputed values are authoritative.
+    Table "diam8": all 8 patterns of length 7 at order 8, scan 2's rows
+    at k = 3.  Table "diam16": the 32 patterns of length 15 whose first
+    six entries are ones, at order 16.  The printed versions ship as
+    golden data; the recomputed values are authoritative.
     """
     from .golden import printed_table1, printed_table2
 
-    six_ones = [a for a in enumerate_io_aseqs(15) if a.bits[:6] == (1, 1, 1, 1, 1, 1)]
+    diam8 = list(enumerate_io_aseqs(7))
+    diam16 = [a for a in enumerate_io_aseqs(15) if a.bits[:6] == (1,) * 6]
     return (
-        _reproduce_table("diam8", list(enumerate_io_aseqs(7)), 8, printed_table1()),
-        _reproduce_table("diam16", six_ones, 16, printed_table2()),
+        _reproduce_table("diam8", _scan(diam8, 8, [8], 1, _conjecture1)[0], printed_table1()),
+        _reproduce_table("diam16", _scan(diam16, 16, [16], 1, _conjecture1)[0], printed_table2()),
     )

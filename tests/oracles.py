@@ -8,7 +8,8 @@ diameter (it reads a graph's `n` and `rows` and nothing else, and is
 itself checked against the dict-of-sets `diameter_oracle`), the
 per-bit scatter, mirror and gather for its one bit-matrix transpose
 (they read plain masks), the per-bit text loops for its one mask-to-text
-layout, and the per-slot io loops for its one free-bits-to-pattern
+layout, the per-entry A-sequence loops for the same layout of entry
+tuples, and the per-slot io loops for its one free-bits-to-pattern
 layout.  Only the standard library is used.
 """
 
@@ -176,6 +177,36 @@ def series_bitstring_loop(s):
     """Coefficients of a package series as '0'/'1' text, degree 0 first,
     one bit at a time."""
     return "".join("1" if (s.bits >> k) & 1 else "0" for k in range(s.precision))
+
+
+def series_coeffs_loop(s):
+    """Coefficients of a package series as a 0/1 tuple, one shift each."""
+    return tuple((s.bits >> k) & 1 for k in range(s.precision))
+
+
+def aseq_entries_loop(bits):
+    """The entries an A-sequence built from `bits` holds, checked one at a
+    time, or None where it is refused: a literal with a character other
+    than '0'/'1', no entries, an entry whose int() is not 0 or 1, or a_0 != 1."""
+    if isinstance(bits, str):
+        if not bits or set(bits) - {"0", "1"}:
+            return None
+        vals = tuple(int(c) for c in bits)
+    else:
+        vals = tuple(int(b) for b in bits)
+        if any(b not in (0, 1) for b in vals):
+            return None
+    return vals if vals and vals[0] == 1 else None
+
+
+def aseq_bitstring_loop(bits):
+    """Entries as '0'/'1' text, a_0 first, one entry at a time."""
+    return "".join(str(b) for b in bits)
+
+
+def aseq_mask_loop(bits, precision):
+    """Bit k = a_k over the first `precision` entries, one entry at a time."""
+    return sum(b << k for k, b in enumerate(bits[:precision]))
 
 
 def is_io_pattern_loop(bits):

@@ -143,6 +143,18 @@ def test_construction_against_per_bit_loops():
         assert G.induced([v + 1 for v in odd]).rows == tuple(induced_gather_rows(G.rows, odd))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 70).flatmap(
+    lambda n: st.lists(st.integers(0, 1), min_size=n - 1, max_size=n - 1).map(lambda t: [1] + t)
+))
+def test_pair_graph_of_any_aseq_is_its_bell_graph(bits):
+    # any binary A, io pattern or not: (g, z g) with g from A gives the Bell graph of A
+    n = len(bits)
+    a = ASequence(bits)
+    g = g_from_aseq(a, n)
+    assert build(RiordanPair(g, named_series("z", n).mul(g)), n) == build_bell_aseq(a, n)
+
+
 def test_build_order_one():
     G = catalan_graph(1)
     assert G.n == 1 and G.edge_count() == 0 and G.diameter() == 0

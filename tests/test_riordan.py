@@ -28,6 +28,9 @@ from riordangraphs.riordan import (
 )
 
 from oracles import (
+    aseq_bitstring_loop,
+    aseq_entries_loop,
+    aseq_mask_loop,
     bell_triangle_lists,
     catalan_ints,
     io_bit_tuples,
@@ -35,6 +38,7 @@ from oracles import (
     is_io_pattern_loop,
     random_io_bits,
     random_unit_bits,
+    series_coeffs_loop,
     triangle_lines_loop,
 )
 
@@ -62,6 +66,58 @@ def test_aseq_literal_and_validation():
         ASequence([])
     with pytest.raises(UsageError):
         ASequence([1, 2, 0])
+
+
+def _entries_against_the_loop(x):
+    """ASequence(x) keeps the entries the per-entry loop keeps, or both refuse x."""
+    want = aseq_entries_loop(x)
+    if want is None:
+        with pytest.raises(UsageError):
+            ASequence(x)
+        return None
+    a = ASequence(x)
+    assert a.bits == want
+    return a
+
+
+def _layouts_against_the_loops(a, precisions):
+    text = a.to_bitstring()
+    assert text == aseq_bitstring_loop(a.bits)
+    assert ASequence(text) == a
+    for p in precisions:
+        s = a.series(p)
+        assert (s.bits, s.precision) == (aseq_mask_loop(a.bits, p), p)
+        assert s.coeffs() == series_coeffs_loop(s) == a.bits[:p]
+    with pytest.raises(PrecisionError):
+        a.series(0)
+
+
+def test_aseq_entries_and_layouts_against_the_loops():
+    # every 0/1 tuple and literal up to length 12, a_0 = 0 and the empty one too
+    for length in range(13):
+        for bits in product((0, 1), repeat=length):
+            a = _entries_against_the_loop(bits)
+            assert _entries_against_the_loop("".join(map(str, bits))) == a
+            if a is not None:
+                _layouts_against_the_loops(a, range(1, length + 1))
+                assert bell_matrix_from_aseq(a, length).to_lines() == [
+                    "".join(map(str, row)) for row in bell_triangle_lists(bits, length)
+                ]
+    for x in ([1, 2], [1, -1], (1, True), [1, 1.0], (1, 0.5), [1, "0"], "1 0", "12", "1\n"):
+        _entries_against_the_loop(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(0, 1), max_size=299).map(lambda tail: [1] + tail),
+    st.lists(st.integers(-1, 2), max_size=300),
+    st.text("01", max_size=300),
+    st.text("012 ", max_size=300),
+))
+def test_aseq_entries_and_layouts_against_the_loops_sampled(x):
+    a = _entries_against_the_loop(x)
+    if a is not None:
+        _layouts_against_the_loops(a, {1, (len(a) + 1) // 2, len(a)})
 
 
 def test_is_io_pattern_examples():

@@ -201,6 +201,26 @@ def test_scan1_prices_sequence_entries():
         scan_conjecture1(8, sequences=[ASequence([1] * 401)], budget=2000)
 
 
+def test_scan1_prices_enumerated_entries(monkeypatch):
+    # a_len 40 at orders 4..8: (2^19 + 2) x 190 visits pass the default
+    # budget, but 2^19 x 40 x 5 = 104,857,600 entries do not
+    import tracemalloc
+
+    def no_enumeration(length):
+        raise AssertionError("sequences were enumerated")
+
+    monkeypatch.setattr(search, "enumerate_io_aseqs", no_enumeration)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScaleError) as refused:
+            scan_conjecture1(8, a_len=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == "estimate 104857600 A-sequence entries exceeds budget 100000000"
+    assert peak < 1 << 20
+
+
 def test_scan2_jobs_deterministic(monkeypatch):
     monkeypatch.setattr(search, "POOL_MIN_VISITS", 1)  # so that jobs=4 starts a pool
     a = scan_conjecture2(4, jobs=1)
@@ -273,6 +293,36 @@ def test_mixed_size_orders():
     assert all(n == 1 + (1 << m) + sum(1 << (k + j) for j in range(s + 1))
                for n, k, m, s in orders)
     assert len(orders) == len({n for n, *_ in orders})
+
+
+def test_scan1_verdicts_at_the_band_edges(monkeypatch):
+    # diam(CG_n) is 2 at n = 4..7 and 3 at n = 8, so a Bell diameter of 1, 2,
+    # 3 and 4 sits at low - 1, low, high and high + 1 of the band 2..diam(CG_n)
+    assert [catalan_graph(n).diameter() for n in range(4, 9)] == [2, 2, 2, 2, 3]
+    want = {
+        1: ["lower-violation"] * 5,
+        2: ["within-bounds"] * 5,
+        3: ["upper-violation"] * 4 + ["within-bounds"],
+        4: ["upper-violation"] * 5,
+    }
+    for d, verdicts in want.items():
+        monkeypatch.setattr(search, "_sequence_diameters", lambda a, n_max, orders: (d,) * len(orders))
+        report = scan_conjecture1(8, sequences=[ASequence("1111111")])
+        got = [(r.n, r.diam, r.verdict) for r in report.records]
+        assert got == list(zip(range(4, 9), [d] * 5, verdicts))
+
+
+def test_scan3_verdicts_at_the_band_edges(monkeypatch):
+    # scan 3's band is the one point low = high = s + 2 or s + 3
+    real = search._prefix_diameters
+    for shift, verdict in ((-1, "lower-violation"), (0, "within-bounds"), (1, "upper-violation")):
+        monkeypatch.setattr(
+            search, "_prefix_diameters",
+            lambda full, orders: {n: d + shift for n, d in real(full, orders).items()},
+        )
+        report = scan_conjecture3(64)
+        assert report.records and all(r.diam == r.diam_catalan + shift for r in report.records)
+        assert {r.verdict for r in report.records} == {verdict}
 
 
 def test_scan3_examples():
@@ -351,6 +401,21 @@ def test_reproduce_counterexamples_matches_print():
     assert rows == printed_counterexamples()
     assert len(rows) == 13
     assert all(dc == 3 and dg == 4 for _, dc, dg in rows)
+
+
+def test_reproductions_read_off_the_scans():
+    scan1 = scan_conjecture1(100, sequences=[counterexample_family(99)])
+    assert reproduce_counterexamples() == [
+        (r.n, r.diam_catalan, r.diam) for r in scan1.violations if r.verdict == "upper-violation"
+    ]
+    assert reproduce_counterexamples(3) == []
+    t8, t16 = reproduce_tables()
+    assert [(r.aseq, r.diam) for r in t8.rows] == [
+        (r.aseq, r.diam) for r in scan_conjecture2(3).records
+    ]
+    assert [(r.aseq, r.diam) for r in t16.rows] == [
+        (r.aseq, r.diam) for r in scan_conjecture2(4).records if r.aseq.startswith("111111")
+    ]
 
 
 def test_reproduce_tables_diam8():
