@@ -261,8 +261,7 @@ def _cmd_reproduce(args) -> int:
         print(f"# {'match' if ok else 'MISMATCH'} against printed table "
               f"({len(rows)} rows)", file=sys.stderr)
         return 0 if ok else 1
-    t1, t2 = search.reproduce_tables()
-    table = t1 if target == "table1" else t2
+    (table,) = search.reproduce_tables(target)
     print("aseq,diam,status,printed")
     for row in table.rows:
         printed = "|".join(map(str, row.printed)) if row.printed else "-"

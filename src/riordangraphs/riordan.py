@@ -14,7 +14,7 @@ A-sequence literals are bit strings with a_0 first, e.g. "1100000".
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from typing import Iterable, Sequence, Union
 
 from .binseries import BinarySeries, _to_bitstring, named_series
@@ -53,7 +53,7 @@ class ASequence:
     def __init__(self, bits: Union[Iterable[int], str]):
         if isinstance(bits, str) and (not bits or set(bits) - {"0", "1"}):
             raise UsageError(f"bad A-sequence literal {bits!r}")
-        vals = tuple(map(int, bits))
+        vals = _text_bits(bits) if isinstance(bits, str) else tuple(map(int, bits))
         if not {0, 1}.issuperset(vals):
             raise UsageError("A-sequence entries must be bits")
         if not vals or vals[0] != 1:
@@ -78,7 +78,7 @@ class ASequence:
         return f"ASequence({self.to_bitstring()!r})"
 
     def to_bitstring(self) -> str:
-        return bytes(self.bits).translate(bytes.maketrans(b"\0\1", b"01")).decode()
+        return _bits_text(self.bits)
 
     def series(self, precision: int | None = None) -> BinarySeries:
         """The generating function A(z) of this prefix."""
@@ -89,6 +89,16 @@ class ASequence:
             )
         # the series keeps the first `precision` bits of the whole mask
         return BinarySeries(int(self.to_bitstring()[::-1], 2), precision)
+
+
+def _bits_text(bits: Sequence[int]) -> str:
+    """0/1 entries as `0`/`1` text, entry t as character t."""
+    return bytes(bits).translate(bytes.maketrans(b"\0\1", b"01")).decode()
+
+
+def _text_bits(text: str) -> tuple[int, ...]:
+    """Text of `0`/`1` only as 0/1 entries, character t as entry t (`_bits_text` inverted)."""
+    return tuple(text.encode().translate(bytes.maketrans(b"01", b"\0\1")))
 
 
 def _io_pattern(frees: Sequence[int], length: int) -> tuple[int, ...]:
@@ -233,40 +243,33 @@ def riordan_matrix(pair: RiordanPair, n: int) -> BinaryTriangle:
 
 
 def bell_matrix_from_aseq(a: ASequence, n: int) -> BinaryTriangle:
-    """Order-n Bell-type triangle grown row by row from its A-sequence.
-
-    Row i+1 comes from row i by
-        b_{i+1,0}   = a_1 b_{i,0} + a_2 b_{i,1} + ... ,
-        b_{i+1,j+1} = b_{i,j} + a_1 b_{i,j+1} + ...   (all mod 2),
-    so the entries of rows 0..n-1 consume a_0..a_{n-1}.
+    """Order-n Bell-type triangle grown row by row from its A-sequence: row i
+    is A correlated with row i-1 moved up one place,
+        b_{i,j} = a_0 b_{i-1,j-1} + a_1 b_{i-1,j} + a_2 b_{i-1,j+1} + ...  (mod 2),
+    with b_{i-1,-1} = 0 (column 0 too), so row i consumes a_0..a_i.
     """
     if n < 1:
         raise UsageError(f"order must be positive, got {n}")
     if len(a) < n:
         raise LengthError(f"order {n} needs an A-sequence of length {n}, got {len(a)}")
     bits = a.bits[:n]
-    text = a.to_bitstring()[:n]
     shifts = [t for t, b in enumerate(bits) if b]
-    shifted_a = int(text[::-1], 2) >> 1  # bit j = a_{j+1}
-    reversed_a = int(text, 2)  # bit n-1-t = a_t
+    reversed_a = int(a.to_bitstring()[:n], 2)  # bit n-1-t = a_t
     rows = [1]
-    row = 1
-    for i, live in zip(range(1, n), accumulate(bits)):
-        # Row i-1 has bits 0..i-1, so the `live` shifts t < i act on it.
+    for i, live in zip(range(1, n), islice(accumulate(bits), 1, None)):
+        # Row i-1 moved up has bits 0..i, so the `live` shifts t <= i act on it.
         # Loop over the sparser side; a set row bit costs about three shifts.
-        s = 0
-        if 3 * row.bit_count() >= live:
+        up, row = rows[-1] << 1, 0
+        if 3 * up.bit_count() >= live:
             for t in shifts:
-                if t >= i:
+                if t > i:
                     break
-                s ^= row >> t
+                row ^= up >> t
         else:
-            m = row
-            while m:
-                low = m & -m
-                s ^= reversed_a >> (n - low.bit_length())  # bit j = a_{k-j}, k = row bit
-                m ^= low
-        row = (s << 1) | ((row & shifted_a).bit_count() & 1)
+            while up:
+                low = up & -up
+                row ^= reversed_a >> (n - low.bit_length())  # bit j = a_{k-j}, k = up's bit
+                up ^= low
         rows.append(row)
     return BinaryTriangle(rows)
 

@@ -5,10 +5,13 @@ lexicographic position of the A-sequence) no matter how many worker
 processes ran.  Scanned sequences pass `riordan.require_io_pattern`.
 `_scan` is the one path from A-sequences to diameter rows: the scans
 and the reproductions of the paper's tables and counterexample list
-read their rows off it.  The one price, `_price` (graphs x sum of n^2
-BFS vertex visits, iFUB's worst case, the two reference graphs counted;
-then the A-sequence entries that the records hold), refuses a scan
-before anything is built, and the same visit count sizes its pool.
+read their rows off it.  A scanned sequence travels as its name, the
+records' `aseq` text: `_io_space` forms the names from free-bit values,
+and its `ASequence` lives only while `_scan` builds its graph.  The
+one price, `_price` (graphs x sum of n^2 BFS vertex visits, iFUB's
+worst case, the two reference graphs counted; then the A-sequence
+entries that the records hold), refuses a scan before anything is
+built, and the same visit count sizes its pool.
 
 CSV schema for scan records: n,aseq,diam,diam_catalan,diam_pascal,verdict
 with exit semantics: a scan "fails" exactly when violations were found.
@@ -24,7 +27,7 @@ from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DEFAULT_BUDGET, ScaleError, UsageError, _guard, _guard_exponent, _square_sum
-from .riordan import ASequence, _io_pattern, require_io_pattern
+from .riordan import ASequence, _bits_text, _io_pattern, _text_bits, require_io_pattern
 from .rgraph import Graph, build_bell_aseq, catalan_graph, pascal_graph
 
 __all__ = [
@@ -138,24 +141,25 @@ def price_conjecture1(n_max: int, lengths: Sequence[int], budget: int) -> None:
 def _io_space(
     length: int, orders: Sequence[int], budget: int,
     sample: Optional[int] = None, seed: int = 0,
-) -> list[ASequence]:
-    """Every io pattern of `length`, or `sample` distinct ones (all-ones among
-    them) drawn with `seed`, priced (`_price`) at `orders` first."""
+) -> list[str]:
+    """Names, in free-bit order, of every io pattern of `length` or of `sample`
+    distinct ones drawn with `seed` (all-ones among them); priced at `orders` first."""
     frees = (length - 1) // 2  # a2, a4, ...
     # 2^frees is capped past 2^64 and the budget, which the guard refuses alike
     space = 1 << min(frees, max(budget.bit_length(), 64) + 1)
     count = space if sample is None else min(sample, space)
     _price(count, count * length, orders, budget)
-    if count == space:
-        return list(enumerate_io_aseqs(length))
-    rng = random.Random(seed)
-    seen = {(1 << frees) - 1}  # always include the Catalan prefix
-    while len(seen) < count:
-        seen.add(rng.getrandbits(frees))
+    values = range(space)
+    if count < space:
+        rng = random.Random(seed)
+        seen = {(1 << frees) - 1}  # always include the Catalan prefix
+        while len(seen) < count:
+            seen.add(rng.getrandbits(frees))
+        values = sorted(seen)
     # free bits a2, a4, ... read with a2 as the most significant
     return [
-        ASequence(_io_pattern(tuple(map(int, format(value, f"0{frees}b"))), length))
-        for value in sorted(seen)
+        _bits_text(_io_pattern(_text_bits(format(value, f"0{frees}b")), length))
+        for value in values
     ]
 
 
@@ -164,43 +168,43 @@ def _prefix_diameters(full: Graph, orders: Sequence[int]) -> dict[int, int]:
     return {n: (full if n == full.n else full.induced_prefix(n)).diameter() for n in orders}
 
 
-def _sequence_diameters(a: ASequence, n_max: int, orders: Sequence[int]) -> tuple[int, ...]:
+def _sequence_diameters(name: str, n_max: int, orders: Sequence[int]) -> tuple[int, ...]:
     # module level so that it pickles for the pool; a tuple, not a dict,
     # keeps the results of an exhaustive scan small
-    full = build_bell_aseq(a, n_max)
+    full = build_bell_aseq(ASequence(name), n_max)
     return tuple(_prefix_diameters(full, orders).values())
 
 
 def _scan(
-    sequences: Sequence[ASequence],
+    names: Sequence[str],
     n_max: int,
     orders: Sequence[int],
     jobs: int,
     verdict: Callable[[str, int, int], str],
 ) -> tuple[list[SearchRecord], dict[int, int]]:
-    """The one path from A-sequences to diameter rows: one record per
-    (order, sequence), sorted by (n, aseq), and the Pascal reference
-    diameters.  The references are the prefixes of CG and PG of order
-    `n_max`; the Bell diameters run on min(jobs, cpu count, len(sequences),
-    visits // POOL_MIN_VISITS) processes, with visits the scan's price;
+    """The one path from A-sequences, given by their `names`, to diameter
+    rows: one record per (order, sequence), sorted by (n, aseq), and the
+    Pascal reference diameters.  The references are the prefixes of CG and
+    PG of order `n_max`; the Bell diameters run on min(jobs, cpu count,
+    len(names), visits // POOL_MIN_VISITS) processes, with visits the scan's price;
     `verdict(aseq, diam, diam_catalan)` rates each record."""
     ref_catalan = _prefix_diameters(catalan_graph(n_max), orders)
     ref_pascal = _prefix_diameters(pascal_graph(n_max), orders)
     work = partial(_sequence_diameters, n_max=n_max, orders=orders)
-    visits = len(sequences) * _square_sum(orders)
-    procs = min(jobs, os.cpu_count() or 1, len(sequences), visits // POOL_MIN_VISITS)
+    visits = len(names) * _square_sum(orders)
+    procs = min(jobs, os.cpu_count() or 1, len(names), visits // POOL_MIN_VISITS)
     if procs <= 1:
-        results = map(work, sequences)
+        results = map(work, names)
     else:
         from multiprocessing import Pool
 
         with Pool(processes=procs) as pool:
-            results = pool.map(work, sequences, chunksize=-(-len(sequences) // procs))
+            results = pool.map(work, names, chunksize=-(-len(names) // procs))
     records = [
         SearchRecord(
             n, name, d, ref_catalan[n], ref_pascal[n], verdict(name, d, ref_catalan[n])
         )
-        for name, diams in zip(map(ASequence.to_bitstring, sequences), results)
+        for name, diams in zip(names, results)
         for n, d in zip(orders, diams)
     ]
     # two stable sorts give (n, aseq) order without a key tuple per record
@@ -246,23 +250,23 @@ def scan_conjecture1(
             raise UsageError("need a_len or an explicit sequence list")
         if a_len < n_max - 1:
             raise UsageError(f"a_len {a_len} cannot determine graphs up to order {n_max}")
-        sequences = _io_space(a_len, orders, budget)
+        names = _io_space(a_len, orders, budget)
     else:
         sequences = list(sequences)
         price_conjecture1(n_max, [len(a) for a in sequences], budget)
         for a in sequences:
             require_io_pattern(a, n_max)
+        names = [a.to_bitstring() for a in sequences]
 
-    records, ref_pascal = _scan(sequences, n_max, orders, jobs, _conjecture1)
+    records, ref_pascal = _scan(names, n_max, orders, jobs, _conjecture1)
     off_two = {r.aseq for r in records if r.diam != 2}
     return ConjectureReport(
         "1",
-        {"n_max": n_max, "sequences": len(sequences)},
+        {"n_max": n_max, "sequences": len(names)},
         records,
         {
             "diameter2_everywhere": [
-                name
-                for name in map(ASequence.to_bitstring, sequences)
+                name for name in names
                 if name not in off_two and name.rstrip("0") != "11"  # not Pascal
             ],
             "pascal_reference": ref_pascal,
@@ -295,10 +299,10 @@ def scan_conjecture2(
     length = n - 1 if n > 2 else 2
     if sample is None and k > EXHAUSTIVE_MAX_K:
         sample = 4096
-    sequences = _io_space(length, [n], budget, sample, seed)
+    names = _io_space(length, [n], budget, sample, seed)
     ones = "1" * length
     records, _ = _scan(
-        sequences, n, [n], jobs,
+        names, n, [n], jobs,
         lambda name, d, _: UPPER if d == k and name != ones else WITHIN,
     )
     attainers = [r.aseq for r in records if r.diam == k]
@@ -307,7 +311,7 @@ def scan_conjecture2(
         {
             "k": k,
             "n": n,
-            "sequences": len(sequences),
+            "sequences": len(names),
             "exhaustive": sample is None,
         },
         records,
@@ -358,7 +362,7 @@ def reproduce_counterexamples(n_max: int = 100) -> list[tuple[int, int, int]]:
     """Rows (n, diam(CG_n), diam(G_n)) where the sixteen-ones family
     exceeds the Catalan diameter, for 4 <= n <= n_max: scan 1's upper
     violations on that family."""
-    family = [counterexample_family(max(n_max - 1, 16))]
+    family = [counterexample_family(max(n_max - 1, 16)).to_bitstring()]
     records, _ = _scan(family, n_max, range(4, n_max + 1), 1, _conjecture1)
     return [(r.n, r.diam_catalan, r.diam) for r in records if r.verdict == UPPER]
 
@@ -384,12 +388,15 @@ class TableReproduction(NamedTuple):
         return [r for r in self.rows if r.status == "mismatch"]
 
 
-def _reproduce_table(
-    name: str, records: list[SearchRecord], printed: list[tuple[str, int]]
-) -> TableReproduction:
-    """The diameters of `_scan`'s `records` against print."""
+def _reproduce_table(target: str) -> TableReproduction:
+    """Table `target`, "table1" or "table2": `_scan`'s diameters against print."""
+    from . import golden
+
+    order, head = {"table1": (8, ""), "table2": (16, "111111")}[target]
+    names = [s for s in _io_space(order - 1, [order], DEFAULT_BUDGET) if s.startswith(head)]
+    records, _ = _scan(names, order, [order], 1, _conjecture1)
     printed_by_seq: dict[str, list[int]] = {}
-    for seq, diam in printed:
+    for seq, diam in getattr(golden, f"printed_{target}")():
         printed_by_seq.setdefault(seq, []).append(diam)
     rows = []
     for r in records:
@@ -407,22 +414,13 @@ def _reproduce_table(
     ]
     omitted = [r.aseq for r in records if r.aseq not in printed_by_seq]
     foreign = sorted(set(printed_by_seq) - {r.aseq for r in records})
-    return TableReproduction(name, rows, duplicates, omitted, foreign)
+    return TableReproduction(f"diam{order}", rows, duplicates, omitted, foreign)
 
 
-def reproduce_tables() -> tuple[TableReproduction, TableReproduction]:
-    """Recompute both printed diameter tables and diff them against print.
+def reproduce_tables(*targets: str) -> tuple[TableReproduction, ...]:
+    """Recompute printed tables `targets` (both by default) and diff them against print.
 
-    Table "diam8": all 8 patterns of length 7 at order 8, scan 2's rows
-    at k = 3.  Table "diam16": the 32 patterns of length 15 whose first
-    six entries are ones, at order 16.  The printed versions ship as
-    golden data; the recomputed values are authoritative.
+    "table1" (diam8) is all 8 patterns of length 7 at order 8, scan 2's rows at k = 3;
+    "table2" (diam16) the 32 of length 15 whose first six entries are ones, at order 16.
     """
-    from .golden import printed_table1, printed_table2
-
-    diam8 = list(enumerate_io_aseqs(7))
-    diam16 = [a for a in enumerate_io_aseqs(15) if a.bits[:6] == (1,) * 6]
-    return (
-        _reproduce_table("diam8", _scan(diam8, 8, [8], 1, _conjecture1)[0], printed_table1()),
-        _reproduce_table("diam16", _scan(diam16, 16, [16], 1, _conjecture1)[0], printed_table2()),
-    )
+    return tuple(map(_reproduce_table, targets or ("table1", "table2")))

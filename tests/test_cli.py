@@ -236,6 +236,9 @@ def test_usage_exit_codes(capsys):
         ["verify", "fractal", "--aseq", "11", "--n", str(10**20)],
         ["verify", "mixed-size", "--family", "catalan", "--k", "70", "--m", "1"],
         ["verify", "monotonicity", "--aseq", "11", "--k", "40", "--mmax", "30"],
+        # empty ranges of orders
+        ["verify", "monotonicity", "--family", "catalan", "--k", "2", "--mmax", "0"],
+        ["verify", "catalan-diameters", "--kmax", "0"],
     ],
 )
 def test_bad_input_exit2_one_line(capsys, argv):
@@ -385,6 +388,53 @@ if sys.argv[1:]:
         cli.main(sys.argv[1:])
 print(" ".join(set(sys.modules) - before))
 """
+
+
+# -- the annotations of a reproduction that disagrees with print ----------------
+
+def test_reproduce_matrix_notes_each_differing_row(capsys, monkeypatch):
+    from riordangraphs import golden
+
+    printed = printed_cg6()
+    monkeypatch.setattr(golden, "printed_cg6", lambda: printed[:1] + ["101011"] + printed[2:])
+    code, out, err = run(capsys, "reproduce", "figure1")
+    assert code == 1 and err == ""
+    assert out.splitlines() == printed + ["# row 2 differs: computed 101010 printed 101011"]
+
+
+def test_reproduce_table_notes_mismatch_and_foreign_rows(capsys, monkeypatch):
+    from riordangraphs import golden
+
+    # 1100000 printed with diameter 3 (it has 2), and 1010101, no io pattern
+    monkeypatch.setattr(golden, "printed_table1",
+                        lambda: [("1100000", 3), ("1111111", 3), ("1010101", 2)])
+    code, out, err = run(capsys, "reproduce", "table1")
+    assert code == 1
+    assert out.splitlines() == [
+        "aseq,diam,status,printed",
+        "1100000,2,mismatch,3",
+        *(f"{s},{d},absent-from-print,-" for s, d in [
+            ("1100001", 2), ("1100110", 2), ("1100111", 2),
+            ("1111000", 2), ("1111001", 2), ("1111110", 3),
+        ]),
+        "1111111,3,match,3",
+        *(f"# omitted from print: {s}" for s in [
+            "1100001", "1100110", "1100111", "1111000", "1111001", "1111110",
+        ]),
+        "# printed but outside the enumeration: 1010101",
+    ]
+    assert err == "# 1 genuine mismatches\n"
+
+
+def test_reproduce_counterexamples_reports_a_mismatch(capsys, monkeypatch):
+    from riordangraphs import golden
+
+    printed = golden.printed_counterexamples()
+    monkeypatch.setattr(golden, "printed_counterexamples", lambda: printed[:-1])
+    code, out, err = run(capsys, "reproduce", "counterexamples")
+    assert code == 1
+    assert out.splitlines() == ["n,diam_catalan,diam_g", *(",".join(map(str, r)) for r in printed)]
+    assert err == "# MISMATCH against printed table (13 rows)\n"
 
 
 @pytest.mark.parametrize(

@@ -56,10 +56,11 @@ def test_enumeration_and_sample_against_the_loops():
     for length in range(2, 13):
         want = [io_value_bits(value, length) for value in range(1 << ((length - 1) // 2))]
         assert [a.bits for a in enumerate_io_aseqs(length)] == want == io_bit_tuples(length)
-    sample = search._io_space(63, [64], 10**12, sample=100, seed=3)
-    values = sorted(int("".join(map(str, a.bits[2::2])), 2) for a in sample)
+    names = search._io_space(63, [64], 10**12, sample=100, seed=3)
+    sample = [ASequence(name).bits for name in names]
+    values = sorted(int("".join(map(str, bits[2::2])), 2) for bits in sample)
     assert len(values) == 100 and values[-1] == (1 << 31) - 1  # all-ones among them
-    assert [a.bits for a in sample] == [io_value_bits(value, 63) for value in values]
+    assert sample == [io_value_bits(value, 63) for value in values]
 
 
 def test_counterexample_family():
@@ -182,6 +183,27 @@ def test_scan2_sampled_k6():
     assert not report.params["exhaustive"]
     assert report.extras["all_ones_attains"]
     assert report.params["sequences"] <= 64 + 1
+
+
+def test_scan2_default_sample_beyond_exhaustive(monkeypatch):
+    # k = 6 is past EXHAUSTIVE_MAX_K: 4,096 io patterns drawn with seed 0;
+    # the stub returns no records, so no graph is built
+    calls = []
+
+    def no_scan(names, *rest):
+        calls.append(names)
+        return [], {}
+
+    monkeypatch.setattr(search, "_scan", no_scan)
+    report = scan_conjecture2(6)
+    scan_conjecture2(6)
+    names = calls[0]
+    assert len(set(names)) == len(names) == report.params["sequences"] == 4096
+    assert names == sorted(names, key=lambda s: s[2::2])  # free-bit order
+    assert all(is_io_pattern(ASequence(s)) and len(s) == 63 for s in names)
+    assert "1" * 63 in names
+    assert calls[1] == names
+    assert report.params["exhaustive"] is False
 
 
 def test_scan2_budget_guard():
@@ -416,6 +438,21 @@ def test_reproductions_read_off_the_scans():
     assert [(r.aseq, r.diam) for r in t16.rows] == [
         (r.aseq, r.diam) for r in scan_conjecture2(4).records if r.aseq.startswith("111111")
     ]
+
+
+def test_reproduce_tables_builds_only_the_tables_asked_for(monkeypatch):
+    both = reproduce_tables()
+    scans = []
+    scan = search._scan
+
+    def counted(names, *rest):
+        scans.append(names)
+        return scan(names, *rest)
+
+    monkeypatch.setattr(search, "_scan", counted)
+    assert reproduce_tables("table2") == both[1:]
+    assert reproduce_tables("table1", "table2") == both
+    assert [len(names) for names in scans] == [32, 8, 32]
 
 
 def test_reproduce_tables_diam8():
