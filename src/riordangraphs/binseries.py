@@ -13,6 +13,8 @@ first: "1101" is 1 + z + z^3.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .errors import CompositionError, InvertibilityError, PrecisionError, UsageError
 
 __all__ = ["BinarySeries", "named_series", "from_bitstring"]
@@ -88,7 +90,7 @@ class BinarySeries:
         return (self.bits >> k) & 1
 
     def coeffs(self) -> tuple[int, ...]:
-        return tuple(map(int, self.to_bitstring()))
+        return _text_bits(self.to_bitstring())
 
     def to_bitstring(self) -> str:
         return _to_bitstring(self.bits, self.precision)
@@ -209,6 +211,16 @@ def _to_bitstring(mask: int, width: int) -> str:
     and width >= 1: the one layout of masks as text, which `from_bitstring`
     reads back."""
     return format(mask, f"0{width}b")[::-1]
+
+
+def _bits_text(bits: Sequence[int]) -> str:
+    """0/1 entries as `0`/`1` text, entry t as character t."""
+    return bytes(bits).translate(bytes.maketrans(b"\0\1", b"01")).decode()
+
+
+def _text_bits(text: str) -> tuple[int, ...]:
+    """Text of `0`/`1` only as 0/1 entries, character t as entry t (`_bits_text` inverted)."""
+    return tuple(text.encode().translate(bytes.maketrans(b"01", b"\0\1")))
 
 
 def from_bitstring(s: str) -> BinarySeries:

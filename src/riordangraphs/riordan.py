@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import accumulate, islice, repeat
 from typing import Iterable, Sequence, Union
 
-from .binseries import BinarySeries, _to_bitstring, named_series
+from .binseries import BinarySeries, _bits_text, _text_bits, _to_bitstring, named_series
 from .errors import InvertibilityError, LengthError, PatternError
 from .errors import PrecisionError, UsageError
 
@@ -89,16 +89,6 @@ class ASequence:
             )
         # the series keeps the first `precision` bits of the whole mask
         return BinarySeries(int(self.to_bitstring()[::-1], 2), precision)
-
-
-def _bits_text(bits: Sequence[int]) -> str:
-    """0/1 entries as `0`/`1` text, entry t as character t."""
-    return bytes(bits).translate(bytes.maketrans(b"\0\1", b"01")).decode()
-
-
-def _text_bits(text: str) -> tuple[int, ...]:
-    """Text of `0`/`1` only as 0/1 entries, character t as entry t (`_bits_text` inverted)."""
-    return tuple(text.encode().translate(bytes.maketrans(b"01", b"\0\1")))
 
 
 def _io_pattern(frees: Sequence[int], length: int) -> tuple[int, ...]:

@@ -22,12 +22,12 @@ from __future__ import annotations
 import os
 import random
 from functools import partial
-from itertools import product
 from operator import attrgetter
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from .binseries import _bits_text, _text_bits
 from .errors import DEFAULT_BUDGET, ScaleError, UsageError, _guard, _guard_exponent, _square_sum
-from .riordan import ASequence, _bits_text, _io_pattern, _text_bits, require_io_pattern
+from .riordan import ASequence, _io_pattern, require_io_pattern
 from .rgraph import Graph, build_bell_aseq, catalan_graph, pascal_graph
 
 __all__ = [
@@ -111,8 +111,7 @@ def enumerate_io_aseqs(length: int) -> Iterator[ASequence]:
     """
     if length < 2:
         raise UsageError(f"pattern sequences need length >= 2, got {length}")
-    for frees in product((0, 1), repeat=(length - 1) // 2):
-        yield ASequence(_io_pattern(frees, length))
+    yield from map(ASequence, _io_names(range(1 << ((length - 1) // 2)), length))
 
 
 def counterexample_family(length: int, ones: int = 16) -> ASequence:
@@ -156,11 +155,15 @@ def _io_space(
         while len(seen) < count:
             seen.add(rng.getrandbits(frees))
         values = sorted(seen)
-    # free bits a2, a4, ... read with a2 as the most significant
-    return [
-        _bits_text(_io_pattern(_text_bits(format(value, f"0{frees}b")), length))
-        for value in values
-    ]
+    return list(_io_names(values, length))
+
+
+def _io_names(values: Iterable[int], length: int) -> Iterator[str]:
+    """Names of the io patterns of `length` whose free bits a2, a4, ..., read
+    with a2 as the most significant, spell each of `values`."""
+    frees = (length - 1) // 2
+    for value in values:
+        yield _bits_text(_io_pattern(_text_bits(format(value, f"0{frees}b")), length))
 
 
 def _prefix_diameters(full: Graph, orders: Sequence[int]) -> dict[int, int]:

@@ -3,7 +3,8 @@
 Everything here recomputes from first principles with plain lists,
 exact big integers or dict-of-set graphs -- never through the package's
 bit-packed code paths.  The bit-packed oracles are the library's former
-kernels, kept as references: the all-sources diameter for its iFUB
+kernels, kept as references: the push-only sweep for its
+direction-optimizing one, the all-sources diameter for its iFUB
 diameter (it reads a graph's `n` and `rows` and nothing else, and is
 itself checked against the dict-of-sets `diameter_oracle`), the
 per-bit scatter, mirror and gather for its one bit-matrix transpose
@@ -319,7 +320,8 @@ class Disconnected(Exception):
 def _bit_levels(G, v):
     """BFS from vertex v over a package graph's bit rows (bit j-1 of
     rows[i-1] marks the edge {i, j}): the frontier masks by distance and
-    the mask of reached vertices."""
+    the mask of reached vertices.  Every level ORs the frontier's rows:
+    this is the library's sweep before it chose push or pull per level."""
     seen = frontier = 1 << (v - 1)
     levels = []
     while frontier:

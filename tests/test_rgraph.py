@@ -36,6 +36,7 @@ from riordangraphs.search import counterexample_family, enumerate_io_aseqs
 
 from oracles import (
     Disconnected,
+    _bit_levels,
     adj_sets,
     all_sources_diameter,
     all_sources_diameter_pairs,
@@ -232,6 +233,43 @@ def test_distance_kernel_against_oracle_on_io_spaces():
             assert all_sources_diameter_pairs(G) == (diam, pairs)
             assert G.diameter() == diam
             assert G.diameter_pairs() == (diam, pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 70), st.floats(0, 1), st.integers(0, 2**32))
+@example(1, 0.0, 0)
+@example(70, 0.02, 1)  # sparse: disconnected
+def test_sweep_against_push_only_levels(n, density, seed):
+    # random symmetric graphs, rows past 64 bits and disconnected ones too,
+    # swept from every source
+    rnd = random.Random(seed)
+    rows = [0] * n
+    for i, j in combinations(range(n), 2):
+        if rnd.random() < density:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    G = Graph(n, rows)
+    for s in range(n):
+        assert G._sweep(s) == _bit_levels(G, s + 1)
+
+
+class _RowReads(tuple):
+    """Adjacency rows that log which rows a sweep reads."""
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
+
+
+def test_sweep_pushes_from_small_frontiers_and_pulls_into_small_remainders():
+    # vertex 1 is adjacent to 2, 3, 4, and each of those to 5
+    G = Graph(5, [0b01110, 0b10001, 0b10001, 0b10001, 0b01110])
+    G.rows = _RowReads(G.rows)
+    G.rows.reads = []
+    assert G._sweep(0) == ([0b00001, 0b01110, 0b10000], 0b11111)
+    # level 0 pushes the frontier {1}'s row; level 1 pulls: of the
+    # unvisited {5}, only its row is read, not the frontier's three
+    assert G.rows.reads == [0, 4]
 
 
 def test_pair_graphs_disconnected_witness():

@@ -63,6 +63,12 @@ def test_enumeration_and_sample_against_the_loops():
     assert sample == [io_value_bits(value, 63) for value in values]
 
 
+def test_enumeration_names_the_io_space():
+    for length in range(2, 12):
+        names = search._io_space(length, [length + 1], 10**12)
+        assert [a.to_bitstring() for a in enumerate_io_aseqs(length)] == names
+
+
 def test_counterexample_family():
     a = counterexample_family(99)
     assert a.bits[:16] == (1,) * 16 and not any(a.bits[16:])
