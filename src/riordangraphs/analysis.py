@@ -10,7 +10,7 @@ the witness when failing.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from .binseries import BinarySeries
 from .errors import DEFAULT_BUDGET, IoViolationError, UsageError, _guard_exponent
@@ -71,28 +71,41 @@ def _floor_log2(n: int) -> int:
     return n.bit_length() - 1
 
 
-def claim_order(claim: str, k: int, m: int = 1, s: int = 0, m_max: int = 1) -> int:
-    """The order of the largest graph a verifier builds: mixed-size reads
-    (k, m, s), monotonicity (k, m_max), diameter-drop k.  The claim's
-    range checks come first, so no shift count is ever negative; then an
-    order of 2^32 or more is refused at the default budget by its exponent,
-    before it is formed."""
+def claim_order(claim: str, **params) -> Sequence[int]:
+    """The orders of the graphs a verifier measures, priced before any is
+    built; `params` are the verifier's, without `a`.
+
+    For mixed-size, monotonicity and diameter-drop the claim's range checks
+    come first, so no shift count is ever negative; then an order of 2^32
+    or more is refused at the default budget by its exponent, before it is
+    formed."""
+    if claim == "structural":
+        return range(1, params["n_max"] + 1)
+    if claim == "fractal":
+        return (max(params["n"], 0),)  # the builder refuses an order below 1
+    if claim == "catalan-diameters":
+        # CG_2^k and its block of order 2^k - 1 for each k; past k = 64 the
+        # price is over 2^128, and the capped sum is still a lower bound
+        return [(1 << k) - d for k in range(1, min(params["k_max"], 64) + 1) for d in (1, 0)]
+    k = params["k"]
     if claim == "mixed-size":
+        m, s = params["m"], params["s"]
         if not (k > m >= 1) or s < 0:
             raise UsageError(f"need k > m >= 1 and s >= 0, got k={k}, m={m}, s={s}")
         _guard_exponent(k + s, DEFAULT_BUDGET)
-        return 1 + (1 << m) + (((1 << (s + 1)) - 1) << k)
-    if claim == "monotonicity":
+        return (1 + (1 << m) + (((1 << (s + 1)) - 1) << k),)
+    if claim == "monotonicity":  # prefixes 2^(k+m_max), ..., 2^k; the top 65 priced
+        m_max = params["m_max"]
         if k < 2:
             raise UsageError(f"need k >= 2, got {k}")
         if m_max < 1:
             raise UsageError(f"need m_max >= 1, got {m_max}")
         _guard_exponent(k + m_max, DEFAULT_BUDGET)
-        return 1 << (k + m_max)
+        return [(1 << (k + m_max)) >> j for j in range(min(m_max, 64) + 1)]
     if k < 4:  # diameter-drop
         raise UsageError(f"need k >= 4, got {k}")
     _guard_exponent(k, DEFAULT_BUDGET)
-    return 1 << k
+    return (1 << k,)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +345,7 @@ def verify_mixed_size(k: int, m: int, s: int, a: ASequence) -> VerificationRepor
     (diam = 2 or 3) and the two neighbor sets N(1) and N(2^k + 2^m)
     match their closed forms.
     """
-    n = claim_order("mixed-size", k, m=m, s=s)
+    (n,) = claim_order("mixed-size", k=k, m=m, s=s)
     require_io_pattern(a, n)
     report = VerificationReport(
         "mixed-size", {"k": k, "m": m, "s": s, "n": n, "aseq": a.to_bitstring()}
@@ -367,7 +380,7 @@ def verify_mixed_size(k: int, m: int, s: int, a: ASequence) -> VerificationRepor
 
 def verify_monotonicity(a: ASequence, k: int, m_max: int) -> VerificationReport:
     """With s = diam(G_{2^k}), doubling the order m times adds at most m."""
-    top = claim_order("monotonicity", k, m_max=m_max)
+    top = claim_order("monotonicity", k=k, m_max=m_max)[0]
     require_io_pattern(a, top)
     report = VerificationReport(
         "monotonicity", {"aseq": a.to_bitstring(), "k": k, "m_max": m_max}
@@ -399,7 +412,7 @@ def verify_diameter_drop(a: ASequence, k: int) -> VerificationReport:
     neither applies (in particular for the all-ones sequence itself) the
     verdict is hypothesis-not-met.
     """
-    n = claim_order("diameter-drop", k)
+    (n,) = claim_order("diameter-drop", k=k)
     require_io_pattern(a, n)
     report = VerificationReport(
         "diameter-drop", {"aseq": a.to_bitstring(), "k": k, "n": n}

@@ -6,10 +6,12 @@ Subcommands: graph, metric, verify, scan, reproduce.  Exit codes:
 graph, metric, verify and scan are priced by `errors._guard` before
 anything is built: scans at --budget, the others at DEFAULT_BUDGET.
 
-Each command takes exactly one graph descriptor flag.  An --aseq
-literal names the polynomial A(z) with those coefficients: it is
-zero-extended on the right to whatever length the requested order
-needs.  Library calls proper are stricter and never extend.
+`verify` and `scan` take only the flags that their claim or conjecture
+reads, after its name.  A command that measures the caller's graph
+takes exactly one graph descriptor flag.  An --aseq literal names the
+polynomial A(z) with those coefficients: it is zero-extended on the
+right to whatever length the requested order needs.  Library calls
+proper are stricter and never extend.
 """
 
 from __future__ import annotations
@@ -22,13 +24,7 @@ import sys
 # so that every other command starts without them
 from .errors import DEFAULT_BUDGET, DisconnectedError, RiordanError, UsageError, _guard
 from .riordan import ASequence
-from .rgraph import (
-    DEFAULT_CLIQUE_CAP,
-    Graph,
-    build_bell_aseq,
-    catalan_graph,
-    pascal_graph,
-)
+from .rgraph import Graph, build_bell_aseq, catalan_graph, pascal_graph
 
 FAMILIES = ("catalan", "pascal")
 # reproduce target -> (Catalan order, reversed labels, golden printer)
@@ -127,7 +123,7 @@ def _cmd_metric(args) -> int:
         d = G.distance(u, v)
         print("unreachable" if d is None else d)
     elif metric == "clique":
-        print(G.max_clique_size(cap=args.clique_cap))
+        print(G.max_clique_size())
     elif metric == "colors":
         colors = G.io_coloring()
         print(len(set(colors)))
@@ -147,35 +143,14 @@ def _cmd_metric(args) -> int:
 def _cmd_verify(args) -> int:
     from . import analysis
 
-    claim = args.claim
-    if claim == "catalan-diameters":
-        # CG_2^k and its block of order 2^k - 1 for each k; past k = 64 the
-        # price is over 2^128, and the capped sum is still a lower bound
-        _price([(1 << k) - d for k in range(1, min(args.kmax, 64) + 1) for d in (1, 0)])
-        report = analysis.verify_catalan_diameters(args.kmax)
-    else:
-        descriptor = _descriptor(args, ("family", "aseq"))
-        if claim == "structural":
-            _price(range(1, args.nmax + 1))
-            a = _aseq(*descriptor, args.nmax)
-            report = analysis.verify_structural(a, args.nmax)
-        elif claim == "fractal":
-            _price((max(args.n, 0),))
-            a = _aseq(*descriptor, args.n)
-            report = analysis.verify_fractal(a, args.s, args.alpha_max, args.n)
-        else:
-            n = analysis.claim_order(claim, args.k, m=args.m, s=args.s, m_max=args.mmax)
-            if claim == "monotonicity":  # prefixes n, n/2, ..., 2^k; the top 65 priced
-                _price([n >> j for j in range(min(args.mmax, 64) + 1)])
-            else:
-                _price((n,))
-            a = _aseq(*descriptor, n)
-            if claim == "mixed-size":
-                report = analysis.verify_mixed_size(args.k, args.m, args.s, a)
-            elif claim == "monotonicity":
-                report = analysis.verify_monotonicity(a, args.k, args.mmax)
-            else:  # diameter-drop
-                report = analysis.verify_diameter_drop(a, args.k)
+    params = {name: getattr(args, name) for name in args.params}
+    # a claim that measures the caller's graph takes it from --family or --aseq
+    descriptor = _descriptor(args, ("family", "aseq")) if hasattr(args, "family") else None
+    orders = analysis.claim_order(args.claim, **params)
+    _price(orders)
+    if descriptor is not None:
+        params["a"] = _aseq(*descriptor, max(orders, default=0))
+    report = getattr(analysis, "verify_" + args.claim.replace("-", "_"))(**params)
     print(report.to_line())
     for note in report.notes:
         print(f"# {note}")
@@ -296,47 +271,46 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metric", help="diameter, distance, clique, colors, universal")
     _add_descriptor(p)
     p.add_argument("metric", nargs="+", help="diameter | distance U V | clique | colors | universal")
-    p.add_argument("--clique-cap", type=int, default=DEFAULT_CLIQUE_CAP)
     p.set_defaults(func=_cmd_metric)
 
+    # Each claim and conjecture is a sub-parser of its own that takes only
+    # the flags it reads; without abbreviations, so that a flag of another
+    # claim (--n beside --nmax) is refused rather than read as a prefix.
     p = sub.add_parser("verify", help="run one claim verifier")
-    p.add_argument(
-        "claim",
-        choices=(
-            "structural",
-            "fractal",
-            "catalan-diameters",
-            "mixed-size",
-            "monotonicity",
-            "diameter-drop",
-        ),
-    )
-    p.add_argument("--family", choices=FAMILIES)
-    p.add_argument("--aseq", metavar="BITS")
-    p.add_argument("--nmax", type=int, default=64)
-    p.add_argument("--kmax", type=int, default=6)
-    p.add_argument("--n", type=int, default=33)
-    p.add_argument("--s", type=int, default=0)
-    p.add_argument("--alpha-max", type=int, default=3)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--mmax", type=int, default=2)
-    p.set_defaults(func=_cmd_verify)
+    claims = p.add_subparsers(dest="claim", required=True)
+    # claim -> (reads a graph descriptor, its flags as (flag, verifier parameter, default))
+    for claim, (descriptor, flags) in {
+        "structural": (True, [("--nmax", "n_max", 64)]),
+        "fractal": (True, [("--s", "s", 0), ("--alpha-max", "alpha_max", 3), ("--n", "n", 33)]),
+        "catalan-diameters": (False, [("--kmax", "k_max", 6)]),
+        "mixed-size": (True, [("--k", "k", 4), ("--m", "m", 1), ("--s", "s", 0)]),
+        "monotonicity": (True, [("--k", "k", 4), ("--mmax", "m_max", 2)]),
+        "diameter-drop": (True, [("--k", "k", 4)]),
+    }.items():
+        c = claims.add_parser(claim, allow_abbrev=False)
+        if descriptor:
+            c.add_argument("--family", choices=FAMILIES)
+            c.add_argument("--aseq", metavar="BITS")
+        for flag, dest, default in flags:
+            c.add_argument(flag, dest=dest, type=int, default=default)
+        c.set_defaults(func=_cmd_verify, params=[dest for _, dest, _ in flags])
 
     p = sub.add_parser("scan", help="scan one of the three conjectures")
-    p.add_argument("conjecture", choices=("1", "2", "3"))
-    p.add_argument("--nmax", type=int, default=100)
-    p.add_argument("--alen", type=int, default=None)
-    p.add_argument("--aseq", metavar="BITS", default=None)
-    p.add_argument("--aseq-ones", type=int, default=None,
-                   help="A(z) = 1 + z + ... + z^(N-1)")
-    p.add_argument("-k", type=int, default=None)
-    p.add_argument("--sample", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--violations-only", action="store_true")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.set_defaults(func=_cmd_scan)
+    conjectures = p.add_subparsers(dest="conjecture", required=True)
+    scan1, scan2, scan3 = (conjectures.add_parser(c, allow_abbrev=False) for c in "123")
+    for c in (scan1, scan3):
+        c.add_argument("--nmax", type=int, default=100)
+    scan1.add_argument("--alen", type=int)
+    scan1.add_argument("--aseq", metavar="BITS")
+    scan1.add_argument("--aseq-ones", type=int, help="A(z) = 1 + z + ... + z^(N-1)")
+    scan2.add_argument("-k", type=int)
+    scan2.add_argument("--sample", type=int)
+    scan2.add_argument("--seed", type=int, default=0)
+    for c in (scan1, scan2, scan3):
+        c.add_argument("--violations-only", action="store_true")
+        c.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+        c.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        c.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("reproduce", help="recompute a published artifact and diff it")
     p.add_argument(

@@ -329,8 +329,8 @@ class Graph:
     def to_matrix_lines(self) -> list[str]:
         return [_to_bitstring(r, self.n) for r in self.rows]
 
-    def to_dot(self, name: str = "G") -> str:
-        lines = [f"graph {name} {{"]
+    def to_dot(self) -> str:
+        lines = ["graph G {"]
         for v in range(1, self.n + 1):
             lines.append(f"  {v};")
         for u, v in self.edges():

@@ -114,11 +114,11 @@ def enumerate_io_aseqs(length: int) -> Iterator[ASequence]:
     yield from map(ASequence, _io_names(range(1 << ((length - 1) // 2)), length))
 
 
-def counterexample_family(length: int, ones: int = 16) -> ASequence:
-    """The A-sequence with a block of leading ones, zero afterwards."""
-    if length < ones:
-        raise UsageError(f"length {length} shorter than the block of {ones} ones")
-    return ASequence([1] * ones + [0] * (length - ones))
+def counterexample_family(length: int) -> ASequence:
+    """The A-sequence of sixteen leading ones, zero afterwards."""
+    if length < 16:
+        raise UsageError(f"length {length} shorter than the block of 16 ones")
+    return ASequence([1] * 16 + [0] * (length - 16))
 
 
 def _price(graphs: int, entries: int, orders: Sequence[int], budget: int) -> None:

@@ -122,6 +122,44 @@ def test_verify_unknown_claim_exit2(capsys):
     assert main(["verify", "bogus-claim"]) == 2
 
 
+# flags of another claim or conjecture, and abbreviated flags, are refused
+@pytest.mark.parametrize(
+    "command",
+    [
+        "verify structural --family catalan --n 500",
+        "verify monotonicity --family catalan --k 2 --m 3",
+        "verify fractal --family catalan --k 9",
+        "verify catalan-diameters --aseq 10 --kmax 3",
+        "scan 2 -k 4 --aseq 11",
+        "scan 2 -k 4 --nmax 50",
+        "scan 3 --nmax 64 --sample 5",
+        "scan 1 --aseq-ones 16 --nmax 20 -k 9",
+        "verify structural --family catalan --nm 8",
+        "metric --family catalan -n 8 clique --clique-cap 9",
+    ],
+)
+def test_flags_the_command_does_not_read_exit2(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, out) == (2, "")
+    assert "error: unrecognized arguments: " in err
+
+
+def test_verify_claims_take_their_verifiers_parameters():
+    import inspect
+
+    from riordangraphs import analysis
+    from riordangraphs.cli import build_parser
+
+    verifiers = [name for name in analysis.__all__ if name.startswith("verify_")]
+    assert len(verifiers) == 6
+    for name in verifiers:
+        args = build_parser().parse_args(["verify", name.removeprefix("verify_").replace("_", "-")])
+        params = set(inspect.signature(getattr(analysis, name)).parameters)
+        assert set(args.params) == params - {"a"}
+        descriptor = {"family", "aseq"} if "a" in params else set()
+        assert set(vars(args)) == set(args.params) | descriptor | {"command", "claim", "func", "params"}
+
+
 def test_scan1_counterexamples(capsys):
     code, out, err = run(
         capsys, "scan", "1", "--aseq-ones", "16", "--nmax", "100", "--violations-only"
@@ -239,6 +277,8 @@ def test_usage_exit_codes(capsys):
         # empty ranges of orders
         ["verify", "monotonicity", "--family", "catalan", "--k", "2", "--mmax", "0"],
         ["verify", "catalan-diameters", "--kmax", "0"],
+        # past the exact clique search's cap
+        ["metric", "--family", "catalan", "-n", "65", "clique"],
     ],
 )
 def test_bad_input_exit2_one_line(capsys, argv):

@@ -175,6 +175,19 @@ def test_scan2_k4_unique():
     assert report.passed
 
 
+def test_scan2_k4_extensions_of_the_second_order8_attainer_drop():
+    # README's finding at order 8: all sixteen order-16 extensions of
+    # 1111110, the second attainer of diameter 3, drop to diameter 3
+    ext = [(r.aseq, r.diam) for r in scan_conjecture2(4).records if r.aseq.startswith("1111110")]
+    want = [
+        ("".join(map(str, bits)), diameter_oracle(bell_graph_adj(bits, 16)))
+        for bits in io_bit_tuples(15)
+        if bits[:7] == (1, 1, 1, 1, 1, 1, 0)
+    ]
+    assert ext == want
+    assert len(want) == 16 and {d for _, d in want} == {3}
+
+
 def test_scan2_k2():
     report = scan_conjecture2(2)
     assert report.params["sequences"] == 2

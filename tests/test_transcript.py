@@ -77,6 +77,7 @@ METRICS = [
     "metric --aseq 1111110011 -n 300 diameter",
     "metric --family catalan -n 33 colors",
     "metric --family catalan -n 8 clique",
+    "metric --family catalan -n 65 clique",  # past the exact clique search's cap
     "metric --family pascal -n 7 universal",
     # disconnected pair graphs: vertex 1 is the hub of the first; vertex 3,
     # not 1, of the second
@@ -100,13 +101,15 @@ REFUSALS = [
     "scan 3 --nmax 1024 --budget 1000",
 ]
 
-# one bad input per subcommand
+# one bad input per subcommand, and a flag of another claim or conjecture
 BAD_INPUT = [
     "graph -n 6",
     "metric --aseq 11 -n 4 distance 1 x",
     "verify structural --nmax 8",
     "scan 2 -k 3 --jobs 0",
     "reproduce nonsense",
+    "verify structural --family catalan --n 500",
+    "scan 2 -k 4 --aseq 11",
 ]
 
 COMMANDS = PAPER_ARTIFACTS + SCANS + GRAPHS + METRICS + REFUSALS + BAD_INPUT
