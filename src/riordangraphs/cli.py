@@ -2,16 +2,18 @@
 
 Subcommands: graph, metric, verify, scan, reproduce.  Exit codes:
 0 = verified / no violations, 1 = mathematical discrepancy found,
-2 = usage or resource error.  All output is line-oriented UTF-8.
-graph, metric, verify and scan are priced by `errors._guard` before
-anything is built: scans at --budget, the others at DEFAULT_BUDGET.
+2 = usage or resource error; each refusal is one `error:` line.  All
+output is line-oriented UTF-8.  graph, metric, verify and scan are
+priced by `errors._guard` before anything is built: scans at --budget,
+the others at DEFAULT_BUDGET.
 
-`verify` and `scan` take only the flags that their claim or conjecture
-reads, after its name.  A command that measures the caller's graph
-takes exactly one graph descriptor flag.  An --aseq literal names the
-polynomial A(z) with those coefficients: it is zero-extended on the
-right to whatever length the requested order needs.  Library calls
-proper are stricter and never extend.
+The grammar holds every rule on a command line's shape: a command takes
+only the arguments it reads (a metric's, claim's or conjecture's after
+its name), none abbreviated, and one graph descriptor flag if it
+measures the caller's graph.  An --aseq literal names the polynomial
+A(z) with those coefficients: it is zero-extended on the right to
+whatever length the requested order needs.  Library calls proper are
+stricter and never extend.
 """
 
 from __future__ import annotations
@@ -34,13 +36,19 @@ MATRICES = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Every parser: no abbreviated flags, and a refusal is a UsageError."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _descriptor(args, flags: tuple[str, ...]) -> tuple[str, object]:
-    """The one descriptor flag given among `flags` (argparse dests), with its value."""
-    given = [(f, getattr(args, f)) for f in flags if getattr(args, f) is not None]
-    if len(given) != 1:
-        names = ", ".join("--" + f.replace("_", "-") for f in flags)
-        raise UsageError(f"this command needs exactly one of {names}")
-    return given[0]
+    """The descriptor flag given among `flags` (the parser admits one), with its value."""
+    return next((f, getattr(args, f)) for f in flags if getattr(args, f) is not None)
 
 
 def _aseq(flag: str, value, order: int) -> ASequence:
@@ -81,11 +89,16 @@ def _graph_from_args(args, n: int) -> Graph:
     return build_bell_aseq(_aseq(flag, value, n), n)
 
 
-def _add_descriptor(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=FAMILIES, help="named graph family")
-    p.add_argument("--g", metavar="BITS", help="g coefficients; Bell pair (g, zg)")
-    p.add_argument("--aseq", metavar="BITS", help="binary A-sequence (a0 first)")
-    p.add_argument("-n", type=int, required=True, help="graph order")
+def _add_descriptor(p: argparse.ArgumentParser, graph: bool) -> None:
+    """Exactly one graph descriptor: --family or --aseq, or --g too for
+    `graph` and `metric`, which also take the order -n."""
+    d = p.add_mutually_exclusive_group(required=True)
+    d.add_argument("--family", choices=FAMILIES, help="named graph family")
+    if graph:
+        d.add_argument("--g", metavar="BITS", help="g coefficients; Bell pair (g, zg)")
+    d.add_argument("--aseq", metavar="BITS", help="binary A-sequence (a0 first)")
+    if graph:
+        p.add_argument("-n", type=int, required=True, help="graph order")
 
 
 def _cmd_graph(args) -> int:
@@ -108,23 +121,14 @@ def _cmd_graph(args) -> int:
 
 def _cmd_metric(args) -> int:
     G = _graph_from_args(args, args.n)
-    metric = args.metric[0]
-    if metric == "diameter":
+    if args.metric == "diameter":
         print(G.diameter())
-    elif metric == "distance":
-        if len(args.metric) != 3:
-            raise UsageError("usage: metric ... distance U V")
-        try:
-            u, v = map(int, args.metric[1:])
-        except ValueError:
-            raise UsageError(
-                f"vertex labels must be integers, got {' '.join(args.metric[1:])}"
-            ) from None
-        d = G.distance(u, v)
+    elif args.metric == "distance":
+        d = G.distance(args.u, args.v)
         print("unreachable" if d is None else d)
-    elif metric == "clique":
+    elif args.metric == "clique":
         print(G.max_clique_size())
-    elif metric == "colors":
+    elif args.metric == "colors":
         colors = G.io_coloring()
         print(len(set(colors)))
         classes: dict[int, list[int]] = {}
@@ -132,11 +136,9 @@ def _cmd_metric(args) -> int:
             classes.setdefault(c, []).append(v)
         for c in sorted(classes):
             print(f"color {c}: {' '.join(map(str, classes[c]))}")
-    elif metric == "universal":
+    else:  # universal
         vs = sorted(G.universal_vertices())
         print(" ".join(map(str, vs)) if vs else "none")
-    else:
-        raise UsageError(f"unknown metric {metric!r}")
     return 0
 
 
@@ -160,9 +162,8 @@ def _cmd_verify(args) -> int:
 def _cmd_scan(args) -> int:
     from . import search
 
-    jobs = args.jobs
-    if jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {jobs}")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     if args.conjecture == "1":
         flag, value = _descriptor(args, ("alen", "aseq", "aseq_ones"))
         if flag == "alen":
@@ -174,14 +175,12 @@ def _cmd_scan(args) -> int:
             a_len, sequences = None, [_aseq(flag, value, args.nmax)]
         report = search.scan_conjecture1(
             args.nmax, a_len=a_len, sequences=sequences,
-            budget=args.budget, jobs=jobs,
+            budget=args.budget, jobs=args.jobs,
         )
     elif args.conjecture == "2":
-        if args.k is None:
-            raise UsageError("scan 2 needs -k")
         report = search.scan_conjecture2(
             args.k, sample=args.sample, seed=args.seed,
-            budget=args.budget, jobs=jobs,
+            budget=args.budget, jobs=args.jobs,
         )
     else:
         report = search.scan_conjecture3(args.nmax, budget=args.budget)
@@ -256,26 +255,28 @@ def _cmd_reproduce(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="riordangraphs",
-        description="Riordan graphs over GF(2): build, measure, verify, scan.",
-    )
+    parser = _Parser(prog="riordangraphs",
+                     description="Riordan graphs over GF(2): build, measure, verify, scan.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("graph", help="print a graph (matrix, DOT or edge CSV)")
-    _add_descriptor(p)
+    _add_descriptor(p, graph=True)
     p.add_argument("--reverse", action="store_true", help="reverse relabelling")
     p.add_argument("--format", choices=("matrix", "dot", "csv", "table"), default="matrix")
     p.set_defaults(func=_cmd_graph)
 
-    p = sub.add_parser("metric", help="diameter, distance, clique, colors, universal")
-    _add_descriptor(p)
-    p.add_argument("metric", nargs="+", help="diameter | distance U V | clique | colors | universal")
+    p = sub.add_parser("metric", help="diameter, distance U V, clique, colors or universal")
+    _add_descriptor(p, graph=True)
+    metrics = p.add_subparsers(dest="metric", required=True)
+    for metric in ("diameter", "distance", "clique", "colors", "universal"):
+        m = metrics.add_parser(metric)
+        if metric == "distance":
+            m.add_argument("u", metavar="U", type=int)
+            m.add_argument("v", metavar="V", type=int)
     p.set_defaults(func=_cmd_metric)
 
-    # Each claim and conjecture is a sub-parser of its own that takes only
-    # the flags it reads; without abbreviations, so that a flag of another
-    # claim (--n beside --nmax) is refused rather than read as a prefix.
+    # Each claim and conjecture is a sub-parser that takes only the flags it
+    # reads, unabbreviated: a flag of another claim (--n beside --nmax) is refused.
     p = sub.add_parser("verify", help="run one claim verifier")
     claims = p.add_subparsers(dest="claim", required=True)
     # claim -> (reads a graph descriptor, its flags as (flag, verifier parameter, default))
@@ -287,36 +288,35 @@ def build_parser() -> argparse.ArgumentParser:
         "monotonicity": (True, [("--k", "k", 4), ("--mmax", "m_max", 2)]),
         "diameter-drop": (True, [("--k", "k", 4)]),
     }.items():
-        c = claims.add_parser(claim, allow_abbrev=False)
+        c = claims.add_parser(claim)
         if descriptor:
-            c.add_argument("--family", choices=FAMILIES)
-            c.add_argument("--aseq", metavar="BITS")
+            _add_descriptor(c, graph=False)
         for flag, dest, default in flags:
             c.add_argument(flag, dest=dest, type=int, default=default)
         c.set_defaults(func=_cmd_verify, params=[dest for _, dest, _ in flags])
 
     p = sub.add_parser("scan", help="scan one of the three conjectures")
     conjectures = p.add_subparsers(dest="conjecture", required=True)
-    scan1, scan2, scan3 = (conjectures.add_parser(c, allow_abbrev=False) for c in "123")
+    scan1, scan2, scan3 = map(conjectures.add_parser, "123")
     for c in (scan1, scan3):
         c.add_argument("--nmax", type=int, default=100)
-    scan1.add_argument("--alen", type=int)
-    scan1.add_argument("--aseq", metavar="BITS")
-    scan1.add_argument("--aseq-ones", type=int, help="A(z) = 1 + z + ... + z^(N-1)")
-    scan2.add_argument("-k", type=int)
+    d = scan1.add_mutually_exclusive_group(required=True)
+    d.add_argument("--alen", type=int)
+    d.add_argument("--aseq", metavar="BITS")
+    d.add_argument("--aseq-ones", type=int, help="A(z) = 1 + z + ... + z^(N-1)")
+    scan2.add_argument("-k", type=int, required=True)
     scan2.add_argument("--sample", type=int)
     scan2.add_argument("--seed", type=int, default=0)
     for c in (scan1, scan2, scan3):
         c.add_argument("--violations-only", action="store_true")
+        # scan 3 measures one graph per order in one process and ignores the
+        # value, but takes --jobs as every scan does, so that its command lines run
         c.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
         c.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         c.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("reproduce", help="recompute a published artifact and diff it")
-    p.add_argument(
-        "target",
-        choices=("counterexamples", "table1", "table2", "figure1", "example-cg8r"),
-    )
+    p.add_argument("target", choices=("counterexamples", "table1", "table2", *MATRICES))
     p.set_defaults(func=_cmd_reproduce)
 
     return parser
@@ -326,18 +326,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 0 if e.code in (0, None) else 2
-    try:
         return args.func(args)
-    except DisconnectedError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    except SystemExit:  # --help, the one exit that argparse still takes
+        return 0
     except RiordanError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(e, DisconnectedError) else 2
     except OverflowError as e:  # a size no sequence can hold, refused by Python itself
         print(f"error: a requested size is past {sys.maxsize}: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:  # a size the machine cannot hold, refused by Python itself
+        print("error: a requested size does not fit in memory", file=sys.stderr)
         return 2
 
 

@@ -45,7 +45,7 @@ def test_graph_dot_csv_table(capsys):
 
 def test_graph_descriptor_required(capsys):
     code, _, err = run(capsys, "graph", "-n", "6")
-    assert code == 2 and "exactly one" in err
+    assert (code, err) == (2, "error: one of the arguments --family --g --aseq is required\n")
 
 
 def test_metric_diameters(capsys):
@@ -115,14 +115,15 @@ def test_verify_diameter_drop_hypothesis(capsys):
 
 def test_verify_needs_descriptor(capsys):
     code, _, err = run(capsys, "verify", "structural", "--nmax", "16")
-    assert code == 2 and "needs" in err
+    assert (code, err) == (2, "error: one of the arguments --family --aseq is required\n")
 
 
 def test_verify_unknown_claim_exit2(capsys):
     assert main(["verify", "bogus-claim"]) == 2
 
 
-# flags of another claim or conjecture, and abbreviated flags, are refused
+# flags of another claim or conjecture, abbreviated flags and arguments past
+# a metric's own are refused
 @pytest.mark.parametrize(
     "command",
     [
@@ -136,6 +137,9 @@ def test_verify_unknown_claim_exit2(capsys):
         "scan 1 --aseq-ones 16 --nmax 20 -k 9",
         "verify structural --family catalan --nm 8",
         "metric --family catalan -n 8 clique --clique-cap 9",
+        "graph --family catalan -n 3 --form table",
+        "metric --family catalan -n 6 diameter junk",
+        "metric --aseq 11 -n 4 distance 1 2 3",
     ],
 )
 def test_flags_the_command_does_not_read_exit2(capsys, command):
@@ -153,10 +157,12 @@ def test_verify_claims_take_their_verifiers_parameters():
     verifiers = [name for name in analysis.__all__ if name.startswith("verify_")]
     assert len(verifiers) == 6
     for name in verifiers:
-        args = build_parser().parse_args(["verify", name.removeprefix("verify_").replace("_", "-")])
         params = set(inspect.signature(getattr(analysis, name)).parameters)
-        assert set(args.params) == params - {"a"}
         descriptor = {"family", "aseq"} if "a" in params else set()
+        claim = name.removeprefix("verify_").replace("_", "-")
+        args = build_parser().parse_args(
+            ["verify", claim] + (["--family", "catalan"] if descriptor else []))
+        assert set(args.params) == params - {"a"}
         assert set(vars(args)) == set(args.params) | descriptor | {"command", "claim", "func", "params"}
 
 
@@ -240,6 +246,7 @@ def test_usage_exit_codes(capsys):
     assert main(["bogus"]) == 2
     assert main([]) == 2
     assert main(["--help"]) == 0
+    assert main(["metric", "distance", "--help"]) == 0
     assert main(["reproduce", "nonsense"]) == 2
 
 
@@ -247,6 +254,16 @@ def test_usage_exit_codes(capsys):
     "argv",
     [
         ["metric", "--aseq", "11", "-n", "4", "distance", "1", "x"],
+        ["metric", "--aseq", "11", "-n", "4", "distance", "1"],
+        ["metric", "--aseq", "11", "-n", "4"],
+        # abbreviated, missing and conflicting descriptors and flags
+        ["graph", "--fam", "catalan", "-n", "3"],
+        ["graph", "--family", "catalan", "--aseq", "11", "-n", "3"],
+        ["scan", "2"],
+        ["bogus"],
+        # orders below 1
+        ["graph", "--family", "catalan", "-n", "0"],
+        ["graph", "--aseq", "11", "-n", "0"],
         # --jobs only below 1: these are rejected before any process starts
         ["scan", "2", "-k", "3", "--jobs", "0"],
         ["scan", "2", "-k", "3", "--jobs", "-3"],
@@ -266,6 +283,10 @@ def test_usage_exit_codes(capsys):
         ["scan", "1", "--aseq-ones", "3", "--nmax", "12"],
         # priced before the descriptor is extended to order 10^20
         ["scan", "1", "--aseq", "11", "--nmax", str(10**20)],
+        # within a budget of 10^30, but refused by Python before any allocation:
+        # 2^62 entries are 2^65 bytes (MemoryError), 2^63 is no list size (OverflowError)
+        ["scan", "1", "--aseq-ones", str(2**62), "--nmax", "8", "--budget", str(10**30)],
+        ["scan", "1", "--aseq-ones", str(2**63), "--nmax", "8", "--budget", str(10**30)],
         # sizes past 2^63, refused by the price before any allocation
         ["graph", "--aseq", "11", "-n", str(10**20)],
         ["graph", "--g", "1", "-n", str(10**20)],
@@ -506,6 +527,14 @@ def test_console_entry_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3"
+
+
+def test_scan3_takes_and_ignores_jobs(capsys):
+    # scan 3 measures one graph per order in one process
+    runs = [run(capsys, "scan", "3", "--nmax", "64", "--jobs", jobs) for jobs in ("1", "2")]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    assert run(capsys, "scan", "3", "--nmax", "64", "--jobs", "0") == (
+        2, "", "error: --jobs must be at least 1, got 0\n")
 
 
 def test_scan_jobs_flag_deterministic(capsys, monkeypatch):

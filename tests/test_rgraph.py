@@ -159,6 +159,11 @@ def test_pair_graph_of_any_aseq_is_its_bell_graph(bits):
 def test_build_order_one():
     G = catalan_graph(1)
     assert G.n == 1 and G.edge_count() == 0 and G.diameter() == 0
+    # no order below one, and no row count other than the order
+    for refused in (lambda: build(catalan_pair(4), 0), lambda: build_bell_aseq(ASequence("11"), 0),
+                    lambda: Graph(0, []), lambda: Graph(2, [0])):
+        with pytest.raises(UsageError):
+            refused()
 
 
 # -- metrics -----------------------------------------------------------------
@@ -486,6 +491,8 @@ def test_reverse_formula_closed_forms():
 
 
 def test_reverse_formula_equals_direct(rng):
+    a = ASequence("11")
+    assert reverse_formula(a, 1).rows == build_bell_aseq(a, 1).reverse_direct().rows == (0,)
     for _ in range(100):
         n = rng.randint(2, 64)
         a = ASequence(random_io_bits(rng, max(n - 1, 2)))
@@ -592,6 +599,11 @@ def test_is_io_decomposable_by_definition():
     odds = tampered.induced([1, 3, 5, 7])
     assert odds != tampered.induced_prefix(4)
     assert not tampered.is_io_decomposable_by_definition()
+    # an edge between two even vertices, which no io graph has
+    rows = list(CG8.rows)
+    rows[1] |= 1 << 3  # edge {2, 4}
+    rows[3] |= 1 << 1
+    assert not Graph(8, rows).is_io_decomposable_by_definition()
 
 
 def test_io_definition_equals_pattern_for_all_64():

@@ -90,6 +90,8 @@ def _layouts_against_the_loops(a, precisions):
         assert s.coeffs() == series_coeffs_loop(s) == a.bits[:p]
     with pytest.raises(PrecisionError):
         a.series(0)
+    with pytest.raises(LengthError):
+        a.series(len(a) + 1)
 
 
 def test_aseq_entries_and_layouts_against_the_loops():
@@ -181,6 +183,8 @@ def test_riordan_matrix_pascal_is_sierpinski():
 def test_riordan_matrix_precision_error():
     with pytest.raises(PrecisionError):
         riordan_matrix(catalan_pair(4), 5)
+    with pytest.raises(UsageError):
+        riordan_matrix(catalan_pair(4), 0)
 
 
 def test_a_sequence_examples():
@@ -193,6 +197,8 @@ def test_a_sequence_examples():
         a_sequence(improper, 4)
     with pytest.raises(PrecisionError):
         a_sequence(catalan_pair(8), 8)
+    with pytest.raises(UsageError):
+        a_sequence(catalan_pair(8), 0)
 
 
 def test_bell_matrix_identity_catalan_pascal():
@@ -217,6 +223,8 @@ def test_bell_matrix_identity_catalan_pascal():
     )
     with pytest.raises(LengthError):
         bell_matrix_from_aseq(ASequence([1, 1, 1]), 8)
+    with pytest.raises(UsageError):
+        bell_matrix_from_aseq(ASequence([1, 1, 1]), 0)
 
 
 def test_bell_matrix_against_list_recurrence(rng):

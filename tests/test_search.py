@@ -124,6 +124,8 @@ def test_scan1_guards():
         scan_conjecture1(3, a_len=7)
     with pytest.raises(ScaleError):
         scan_conjecture1(20, a_len=19, budget=100)
+    with pytest.raises(UsageError):  # neither a_len nor sequences
+        scan_conjecture1(8)
 
 
 def test_budget_guard_fires_before_enumeration():
@@ -228,6 +230,8 @@ def test_scan2_default_sample_beyond_exhaustive(monkeypatch):
 def test_scan2_budget_guard():
     with pytest.raises(ScaleError):
         scan_conjecture2(5, budget=10)
+    with pytest.raises(UsageError):
+        scan_conjecture2(0)
     # refused before any sequence of length 2^40 - 1 is built
     with pytest.raises(ScaleError):
         scan_conjecture2(40, sample=2)

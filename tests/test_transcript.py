@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
-import os
 import shlex
 from pathlib import Path
 from typing import NamedTuple
@@ -26,7 +25,6 @@ from riordangraphs.cli import main
 
 TRANSCRIPT = Path(__file__).with_name("transcript.txt")
 STORE_LIMIT = 4096
-COLUMNS = "80"  # argparse wraps its usage lines to the terminal width
 
 # the benchmark's paper-artifacts workload: README's CLI block, the five
 # reproductions and scan 2 -k 3
@@ -101,7 +99,8 @@ REFUSALS = [
     "scan 3 --nmax 1024 --budget 1000",
 ]
 
-# one bad input per subcommand, and a flag of another claim or conjecture
+# one bad input per subcommand, and a flag of another claim or conjecture;
+# each exits 2 with one `error:` line
 BAD_INPUT = [
     "graph -n 6",
     "metric --aseq 11 -n 4 distance 1 x",
@@ -110,6 +109,16 @@ BAD_INPUT = [
     "reproduce nonsense",
     "verify structural --family catalan --n 500",
     "scan 2 -k 4 --aseq 11",
+    "metric --family catalan -n 6 diameter junk",
+    "graph --fam catalan -n 3",
+    "graph --family catalan --aseq 11 -n 3",
+    "scan 2",
+    "graph --family catalan -n 0",
+    "graph --aseq 11 -n 0",
+    # past the price's budget of 10^30, a size Python refuses before any
+    # allocation: 2^62 entries of 8 bytes, and 2^63, past any list's length
+    f"scan 1 --aseq-ones {2**62} --nmax 8 --budget {10**30}",
+    f"scan 1 --aseq-ones {2**63} --nmax 8 --budget {10**30}",
 ]
 
 COMMANDS = PAPER_ARTIFACTS + SCANS + GRAPHS + METRICS + REFUSALS + BAD_INPUT
@@ -175,11 +184,9 @@ def test_transcript_lists_every_command():
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=[e.command for e in ENTRIES])
-def test_transcript_replays(monkeypatch, entry):
-    monkeypatch.setenv("COLUMNS", COLUMNS)
+def test_transcript_replays(entry):
     assert record(entry.command) == entry
 
 
 if __name__ == "__main__":
-    os.environ["COLUMNS"] = COLUMNS
     TRANSCRIPT.write_text(dump(map(record, COMMANDS)))
