@@ -24,7 +24,9 @@ import sys
 
 # analysis, search and golden are imported by the commands that run them,
 # so that every other command starts without them
-from .errors import DEFAULT_BUDGET, DisconnectedError, RiordanError, UsageError, _guard
+from .errors import (
+    DEFAULT_BUDGET, DisconnectedError, IoViolationError, RiordanError, UsageError, _guard,
+)
 from .riordan import ASequence
 from .rgraph import Graph, build_bell_aseq, catalan_graph, pascal_graph
 
@@ -331,7 +333,8 @@ def main(argv=None) -> int:
         return 0
     except RiordanError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1 if isinstance(e, DisconnectedError) else 2
+        # findings, each with a vertex pair as evidence
+        return 1 if isinstance(e, (DisconnectedError, IoViolationError)) else 2
     except OverflowError as e:  # a size no sequence can hold, refused by Python itself
         print(f"error: a requested size is past {sys.maxsize}: {e}", file=sys.stderr)
         return 2

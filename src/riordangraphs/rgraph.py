@@ -14,7 +14,7 @@ public method takes and gives 1-based labels and converts by that rule.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .binseries import BinarySeries, _to_bitstring
 from .errors import (
@@ -196,6 +196,12 @@ class Graph:
         """Maximum distance over all vertex pairs; raises DisconnectedError
         (1, lowest vertex unreachable from 1) on disconnection."""
         return self._ifub()[0]
+
+    def prefix_diameters(self, orders: Iterable[int]) -> tuple[int, ...]:
+        """Diameter of the leading block of each of `orders`, in the order
+        given; the graph itself serves order n.  The first disconnected block
+        raises as `diameter` does."""
+        return tuple((self if m == self.n else self.induced_prefix(m)).diameter() for m in orders)
 
     def diameter_pairs(self) -> tuple[int, set[tuple[int, int]]]:
         """Diameter together with every unordered pair realizing it.

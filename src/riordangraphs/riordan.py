@@ -112,9 +112,13 @@ def is_io_pattern(a: ASequence) -> bool:
 
 def require_io_pattern(a: ASequence, order: int) -> None:
     """The gate of everything restricted to io-decomposable Bell graphs: `a`
-    is an io pattern (else PatternError) of length >= order - 1 (else LengthError)."""
+    is an io pattern (else PatternError, naming the first entry off the pattern)
+    of length >= order - 1 (else LengthError)."""
     if not is_io_pattern(a):
-        raise PatternError(f"A-sequence {a.to_bitstring()} is not an io pattern")
+        # one entry past the end, so that a lone a_0 departs at a missing a_1
+        got, want = (*a.bits, "missing"), _io_pattern(a.bits[2::2], len(a) + 1)
+        i = next(i for i, (b, w) in enumerate(zip(got, want)) if b != w)
+        raise PatternError(f"A-sequence is not an io pattern: a_{i} is {got[i]}, not {want[i]}")
     if len(a) < order - 1:
         raise LengthError(
             f"order {order} needs an A-sequence of length {order - 1}, got {len(a)}"

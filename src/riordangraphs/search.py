@@ -11,7 +11,8 @@ and its `ASequence` lives only while `_scan` builds its graph.  The
 one price, `_price` (graphs x sum of n^2 BFS vertex visits, iFUB's
 worst case, the two reference graphs counted; then the A-sequence
 entries that the records hold), refuses a scan before anything is
-built, and the same visit count sizes its pool.
+built; its visits for the Bell graphs alone, the references left out,
+size the pool.
 
 CSV schema for scan records: n,aseq,diam,diam_catalan,diam_pascal,verdict
 with exit semantics: a scan "fails" exactly when violations were found.
@@ -22,13 +23,12 @@ from __future__ import annotations
 import os
 import random
 from functools import partial
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .binseries import _bits_text, _text_bits
 from .errors import DEFAULT_BUDGET, ScaleError, UsageError, _guard, _guard_exponent, _square_sum
 from .riordan import ASequence, _io_pattern, require_io_pattern
-from .rgraph import Graph, build_bell_aseq, catalan_graph, pascal_graph
+from .rgraph import build_bell_aseq, catalan_graph, pascal_graph
 
 __all__ = [
     "ConjectureReport",
@@ -166,16 +166,9 @@ def _io_names(values: Iterable[int], length: int) -> Iterator[str]:
         yield _bits_text(_io_pattern(_text_bits(format(value, f"0{frees}b")), length))
 
 
-def _prefix_diameters(full: Graph, orders: Sequence[int]) -> dict[int, int]:
-    """Diameter of each leading block of `full` whose order is in `orders`."""
-    return {n: (full if n == full.n else full.induced_prefix(n)).diameter() for n in orders}
-
-
 def _sequence_diameters(name: str, n_max: int, orders: Sequence[int]) -> tuple[int, ...]:
-    # module level so that it pickles for the pool; a tuple, not a dict,
-    # keeps the results of an exhaustive scan small
-    full = build_bell_aseq(ASequence(name), n_max)
-    return tuple(_prefix_diameters(full, orders).values())
+    # module level so that it pickles for the pool
+    return build_bell_aseq(ASequence(name), n_max).prefix_diameters(orders)
 
 
 def _scan(
@@ -186,13 +179,16 @@ def _scan(
     verdict: Callable[[str, int, int], str],
 ) -> tuple[list[SearchRecord], dict[int, int]]:
     """The one path from A-sequences, given by their `names`, to diameter
-    rows: one record per (order, sequence), sorted by (n, aseq), and the
-    Pascal reference diameters.  The references are the prefixes of CG and
-    PG of order `n_max`; the Bell diameters run on min(jobs, cpu count,
-    len(names), visits // POOL_MIN_VISITS) processes, with visits the scan's price;
+    rows: one record per (order, sequence), built in (n, aseq) order from the
+    ascending `orders` and the sorted names, and the Pascal reference
+    diameters by order.  The references are the prefixes of CG and PG of
+    order `n_max`; the Bell diameters run on min(jobs, cpu count, len(names),
+    visits // POOL_MIN_VISITS) processes, each given one contiguous run of the
+    sorted names, with visits the Bell graphs' share of the scan's price;
     `verdict(aseq, diam, diam_catalan)` rates each record."""
-    ref_catalan = _prefix_diameters(catalan_graph(n_max), orders)
-    ref_pascal = _prefix_diameters(pascal_graph(n_max), orders)
+    names = sorted(names)
+    ref_catalan = catalan_graph(n_max).prefix_diameters(orders)
+    ref_pascal = pascal_graph(n_max).prefix_diameters(orders)
     work = partial(_sequence_diameters, n_max=n_max, orders=orders)
     visits = len(names) * _square_sum(orders)
     procs = min(jobs, os.cpu_count() or 1, len(names), visits // POOL_MIN_VISITS)
@@ -204,16 +200,11 @@ def _scan(
         with Pool(processes=procs) as pool:
             results = pool.map(work, names, chunksize=-(-len(names) // procs))
     records = [
-        SearchRecord(
-            n, name, d, ref_catalan[n], ref_pascal[n], verdict(name, d, ref_catalan[n])
-        )
-        for name, diams in zip(names, results)
-        for n, d in zip(orders, diams)
+        SearchRecord(n, name, d, d_catalan, d_pascal, verdict(name, d, d_catalan))
+        for n, d_catalan, d_pascal, diams in zip(orders, ref_catalan, ref_pascal, zip(*results))
+        for name, d in zip(names, diams)
     ]
-    # two stable sorts give (n, aseq) order without a key tuple per record
-    records.sort(key=attrgetter("aseq"))
-    records.sort(key=attrgetter("n"))
-    return records, ref_pascal
+    return records, dict(zip(orders, ref_pascal))
 
 
 def _band(d: int, low: int, high: int) -> str:
@@ -349,12 +340,12 @@ def scan_conjecture3(
     orders = mixed_size_orders(n_max)
     measured = [o[0] for o in orders]
     _guard(1, measured, budget)  # CG_n_max, measured at the mixed orders
-    diams = _prefix_diameters(catalan_graph(n_max), measured)
+    diams = catalan_graph(n_max).prefix_diameters(measured)
     report = ConjectureReport("3", {"n_max": n_max, "orders": len(orders)})
-    for n, k, m, s in orders:
+    for (n, k, m, s), d in zip(orders, diams):
         want = s + 2 if m == 1 else s + 3
         report.records.append(SearchRecord(
-            n, f"catalan(k={k},m={m},s={s})", diams[n], want, 2, _band(diams[n], want, want)
+            n, f"catalan(k={k},m={m},s={s})", d, want, 2, _band(d, want, want)
         ))
     return report
 

@@ -72,6 +72,13 @@ def test_metric_disconnected_diameter(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error:") and "disconnected" in err
 
 
+def test_metric_improper_io_coloring_is_a_finding(capsys):
+    # as with a disconnection, exit 1 and the vertex pair as evidence
+    code, out, err = run(capsys, "metric", "--g", "011", "-n", "8", "colors")
+    assert (code, out) == (1, "")
+    assert err == "error: vertices 3 and 7 are adjacent but both have color 1\n"
+
+
 def test_metric_clique_colors_universal(capsys):
     code, out, _ = run(capsys, "metric", "--family", "catalan", "-n", "6", "clique")
     assert code == 0 and out.strip() == "4"
@@ -300,6 +307,8 @@ def test_usage_exit_codes(capsys):
         ["verify", "catalan-diameters", "--kmax", "0"],
         # past the exact clique search's cap
         ["metric", "--family", "catalan", "-n", "65", "clique"],
+        # a pattern refusal names its first bad entry, not the 2,047 it was extended to
+        ["verify", "monotonicity", "--aseq", "1", "--k", "7", "--mmax", "4"],
     ],
 )
 def test_bad_input_exit2_one_line(capsys, argv):
@@ -307,6 +316,7 @@ def test_bad_input_exit2_one_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200
 
 
 def test_scan1_priced_before_descriptor_is_extended(capsys):

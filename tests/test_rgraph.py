@@ -46,6 +46,7 @@ from oracles import (
     column_scatter_rows,
     diameter_oracle,
     induced_gather_rows,
+    io_bit_tuples,
     io_coloring_oracle,
     io_violation_oracle,
     matrix_lines_loop,
@@ -316,6 +317,47 @@ def test_ifub_against_all_sources_on_sixteen_ones_prefixes():
     for n in range(4, 257):
         G = full.induced_prefix(n)
         assert G.diameter() == all_sources_diameter(G), n
+
+
+def _block(adj, m):
+    """The oracle's own leading block of order m of a dict-of-sets graph."""
+    return {v: {w for w in adj[v] if w <= m} for v in range(1, m + 1)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 24).flatmap(lambda n: st.tuples(
+    st.permutations(range(1, n + 1)), st.integers(0, (1 << 23) - 1), st.integers(0, (1 << 23) - 1),
+)))
+@example(([6, 2, 4, 1, 3, 5], 1, 0b100))  # f = z^2: disconnected from order 3 on
+@example(([3, 1, 2], 0, 0b10))  # g(0) = 0: vertex 2 is isolated in every block
+def test_prefix_diameters_on_pairs(drawn):
+    # every leading block, unsorted and with orders 1 and n repeated; the first
+    # disconnected block in the given order names the oracle's witness
+    perm, gbits, fbits = drawn
+    n = len(perm)
+    prec = max(n - 1, 1)
+    G = build(RiordanPair(BinarySeries(gbits, prec), BinarySeries(fbits & ~1, prec)), n)
+    orders = [n, *perm, 1, n]
+    adj = adj_sets(G)
+    want = [diameter_oracle(_block(adj, m)) for m in orders]
+    if None not in want:
+        assert G.prefix_diameters(orders) == tuple(want)
+        return
+    block = _block(adj, orders[want.index(None)])
+    with pytest.raises(DisconnectedError) as got:
+        G.prefix_diameters(orders)
+    assert got.value.pair == (1, min(set(block) - set(bfs_dists(block, 1))))
+
+
+def test_prefix_diameters_on_every_io_graph_to_k4():
+    for k in range(1, 5):
+        n = 1 << k
+        for bits in io_bit_tuples(max(n - 1, 2)):
+            G = io_graph(bits, n)
+            orders = [n, *range(1, n + 1), 1, n // 2 + 1]
+            want = tuple(diameter_oracle(bell_graph_adj(bits, m)) for m in orders)
+            assert G.prefix_diameters(orders) == want, bits
+    assert G.prefix_diameters([]) == ()
 
 
 def test_diameter_pairs_against_all_sources_on_catalan():

@@ -4,7 +4,7 @@ from riordangraphs import search
 from riordangraphs.errors import LengthError, PatternError, ScaleError, UsageError
 from riordangraphs.golden import printed_counterexamples
 from riordangraphs.riordan import ASequence, is_io_pattern
-from riordangraphs.rgraph import DistanceReport, build_bell_aseq, catalan_graph
+from riordangraphs.rgraph import DistanceReport, Graph, build_bell_aseq, catalan_graph
 from riordangraphs.search import (
     CSV_HEADER,
     ConjectureReport,
@@ -359,11 +359,11 @@ def test_scan1_verdicts_at_the_band_edges(monkeypatch):
 
 def test_scan3_verdicts_at_the_band_edges(monkeypatch):
     # scan 3's band is the one point low = high = s + 2 or s + 3
-    real = search._prefix_diameters
+    real = Graph.prefix_diameters
     for shift, verdict in ((-1, "lower-violation"), (0, "within-bounds"), (1, "upper-violation")):
         monkeypatch.setattr(
-            search, "_prefix_diameters",
-            lambda full, orders: {n: d + shift for n, d in real(full, orders).items()},
+            Graph, "prefix_diameters",
+            lambda full, orders: tuple(d + shift for d in real(full, orders)),
         )
         report = scan_conjecture3(64)
         assert report.records and all(r.diam == r.diam_catalan + shift for r in report.records)
@@ -417,6 +417,19 @@ def test_scan1_rows_and_extras_against_oracle():
         if name != "1100000" and all(diam[n, name] == 2 for n in range(4, 9))
     ]
     assert report.extras["pascal_reference"] == {n: _oracle_pascal(n) for n in range(4, 9)}
+
+
+def test_scan1_unsorted_list_with_a_duplicate_matches_per_sequence_scans():
+    names = ["11111111", "1100110", "1111111", "1100000", "1100110", "110011001"]
+    report = scan_conjecture1(8, sequences=[ASequence(s) for s in names])
+    alone = [scan_conjecture1(8, sequences=[ASequence(s)]) for s in names]
+    records = sorted((r for one in alone for r in one.records), key=lambda r: (r.n, r.aseq))
+    assert report.records == records and len(records) == 5 * len(names)
+    assert report.extras == {
+        "diameter2_everywhere": [s for one in alone for s in one.extras["diameter2_everywhere"]],
+        "pascal_reference": alone[0].extras["pascal_reference"],
+    }
+    assert report.extras["diameter2_everywhere"] == ["1100110", "1100110", "110011001"]
 
 
 def test_scan2_rows_and_extras_against_oracle():

@@ -82,6 +82,8 @@ METRICS = [
     "metric --g 0 -n 3 diameter",
     "metric --g 011 -n 8 diameter",
     "metric --g 011 -n 8 distance 1 6",
+    # an improper io colouring is a finding, as a disconnection is
+    "metric --g 011 -n 8 colors",
 ]
 
 # one refusal per price path, before anything is built
@@ -119,6 +121,9 @@ BAD_INPUT = [
     # allocation: 2^62 entries of 8 bytes, and 2^63, past any list's length
     f"scan 1 --aseq-ones {2**62} --nmax 8 --budget {10**30}",
     f"scan 1 --aseq-ones {2**63} --nmax 8 --budget {10**30}",
+    # a pattern refusal names the first bad entry, not the extended sequence
+    "verify monotonicity --aseq 1 --k 7 --mmax 4",
+    "scan 1 --aseq 1010 --nmax 8 --jobs 1",
 ]
 
 COMMANDS = PAPER_ARTIFACTS + SCANS + GRAPHS + METRICS + REFUSALS + BAD_INPUT
