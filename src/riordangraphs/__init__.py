@@ -8,78 +8,17 @@ The layers, bottom up:
 - analysis:  each structural/diameter claim as an executable verifier;
 - search:    A-sequence enumeration, conjecture scans, table reproduction;
 - cli:       the `riordangraphs` command.
+
+The package re-exports the `__all__` of the four lower layers; `analysis`
+and `search` are imported by name.
 """
 
-from .binseries import BinarySeries, from_bitstring, named_series
-from .errors import (
-    CompositionError,
-    DisconnectedError,
-    InvertibilityError,
-    IoViolationError,
-    LengthError,
-    PatternError,
-    PrecisionError,
-    RiordanError,
-    ScaleError,
-    UsageError,
-)
-from .riordan import (
-    ASequence,
-    BinaryTriangle,
-    RiordanPair,
-    a_sequence,
-    bell_matrix_from_aseq,
-    catalan_bit,
-    catalan_pair,
-    g_from_aseq,
-    io_pattern_extend,
-    is_io_pattern,
-    pascal_pair,
-    riordan_matrix,
-)
-from .rgraph import (
-    DistanceReport,
-    Graph,
-    build,
-    build_bell_aseq,
-    catalan_graph,
-    pascal_graph,
-    reverse_formula,
-)
+from . import binseries, errors, riordan, rgraph
+from .binseries import *
+from .errors import *
+from .riordan import *
+from .rgraph import *
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ASequence",
-    "BinarySeries",
-    "BinaryTriangle",
-    "CompositionError",
-    "DisconnectedError",
-    "DistanceReport",
-    "Graph",
-    "InvertibilityError",
-    "IoViolationError",
-    "LengthError",
-    "PatternError",
-    "PrecisionError",
-    "RiordanError",
-    "RiordanPair",
-    "ScaleError",
-    "UsageError",
-    "a_sequence",
-    "bell_matrix_from_aseq",
-    "build",
-    "build_bell_aseq",
-    "catalan_bit",
-    "catalan_graph",
-    "catalan_pair",
-    "from_bitstring",
-    "g_from_aseq",
-    "io_pattern_extend",
-    "is_io_pattern",
-    "named_series",
-    "pascal_graph",
-    "pascal_pair",
-    "reverse_formula",
-    "riordan_matrix",
-]
+__all__ = [*binseries.__all__, *errors.__all__, *riordan.__all__, *rgraph.__all__]

@@ -400,10 +400,11 @@ def verify_diameter_drop(a: ASequence, k: int) -> VerificationReport:
     """Sequences with an early zero have diameter below the all-ones graph.
 
     Two sufficient conditions are checked for G of order 2^k, k >= 4:
-    the block shape (2^m - 2 ones, two zeros, then paired free bits) with
-    4 <= m <= k, and the weaker 'first 16 entries not all ones'.  When
-    neither applies (in particular for the all-ones sequence itself) the
-    verdict is hypothesis-not-met.
+    the block shape (2^m - 2 ones, two zeros, then paired free bits; at
+    m = k one zero, the order's trailing slot) with 4 <= m <= k, and the
+    weaker 'first 16 entries not all ones'.  When neither applies (in
+    particular for the all-ones sequence itself) the verdict is
+    hypothesis-not-met.
     """
     (n,) = claim_order("diameter-drop", k=k)
     require_io_pattern(a, n)
@@ -415,11 +416,12 @@ def verify_diameter_drop(a: ASequence, k: int) -> VerificationReport:
     ones = (window.bits + (0,)).index(0)  # leading ones
 
     applicable = False
-    # block shape: ones up to 2^m - 2, then a zero pair, zeros inside the
-    # order-n window (otherwise this order's graph is the all-ones graph)
+    # block shape: ones up to 2^m - 2, then a zero inside the order-n window
+    # (otherwise this order's graph is the all-ones graph); the io pattern
+    # pairs that zero with the next slot, or it is the window's trailing slot
     if ones < n - 1 and ones >= 14:
         m_block = ones + 2
-        if m_block & (m_block - 1) == 0 and window.bits[ones + 1] == 0:
+        if m_block & (m_block - 1) == 0:
             applicable = True
             report.notes.append(f"block-shape m={m_block.bit_length() - 1}")
     # first 16 entries not all ones

@@ -56,16 +56,8 @@ def _compose_bits(abits: int, bbits: int, precision: int) -> int:
 
 
 def _catalan_bits(precision: int) -> int:
-    # Coefficients of the Catalan generating function mod 2, grown degree
-    # by degree from C = 1 + z*C^2.  `rev` mirrors the known prefix so the
-    # degree-(n-1) convolution of C with itself is one AND + popcount.
-    bits = 1
-    rev = 1
-    for n in range(1, precision):
-        b = (bits & rev).bit_count() & 1
-        bits |= b << n
-        rev = (rev << 1) | b
-    return bits
+    # C_n is odd exactly when n + 1 is a power of two
+    return sum(1 << (1 << k) - 1 for k in range(precision.bit_length()))
 
 
 class BinarySeries:

@@ -2,6 +2,19 @@
 
 from typing import Sequence
 
+__all__ = [
+    "CompositionError",
+    "DisconnectedError",
+    "InvertibilityError",
+    "IoViolationError",
+    "LengthError",
+    "PatternError",
+    "PrecisionError",
+    "RiordanError",
+    "ScaleError",
+    "UsageError",
+]
+
 DEFAULT_BUDGET = 10**8  # estimated vertex visits a command may run before ScaleError
 
 

@@ -1,11 +1,11 @@
 """Enumeration of io A-sequences and the conjecture-scan harness.
 
-Scans are deterministic: records come out sorted by (order, free-bit
-lexicographic position of the A-sequence) no matter how many worker
-processes ran.  Scanned sequences pass `riordan.require_io_pattern`.
-`_scan` is the one path from A-sequences to diameter rows: the scans
-and the reproductions of the paper's tables and counterexample list
-read their rows off it.  A scanned sequence travels as its name, the
+Scans are deterministic: records come out sorted by (order, aseq text)
+no matter how many worker processes ran; for io patterns of one length
+that is the lexicographic order of their free bits.  Scanned sequences
+pass `riordan.require_io_pattern`.  `_scan` is the one path from
+A-sequences to diameter rows: the scans and the reproductions of the
+paper's tables and counterexample list read their rows off it.  A scanned sequence travels as its name, the
 records' `aseq` text: `_io_space` forms the names from free-bit values,
 and its `ASequence` lives only while `_scan` builds its graph.  The
 one price, `_price` (graphs x sum of n^2 BFS vertex visits, iFUB's
@@ -69,10 +69,10 @@ class SearchRecord(NamedTuple):
     verdict: str
 
     def to_csv(self) -> str:
-        return f"{self.n},{self.aseq},{self.diam},{self.diam_catalan},{self.diam_pascal},{self.verdict}"
+        return ",".join(map(str, self))
 
 
-CSV_HEADER = "n,aseq,diam,diam_catalan,diam_pascal,verdict"
+CSV_HEADER = ",".join(SearchRecord._fields)
 
 
 class ConjectureReport:

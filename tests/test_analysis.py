@@ -431,10 +431,14 @@ def test_diameter_drop_fault_injection(monkeypatch):
     assert not replay_witness(build_bell_aseq(aseq_pascal(15), 16), report.witness)
 
 
-def test_diameter_drop_block_shape():
-    shape = ASequence([1] * 14 + [0] * 17)  # 2^4 - 2 ones then zeros
-    report = verify_diameter_drop(shape, 5)
+@pytest.mark.parametrize("ones,k", [(14, 5), (30, 5), (62, 6), (126, 7)])
+def test_diameter_drop_block_shape(ones, k):
+    # 2^m - 2 ones then zeros; at ones = 2^k - 2 the first zero is the
+    # order's trailing free slot
+    shape = ASequence([1] * ones + [0] * ((1 << k) - 1 - ones))
+    report = verify_diameter_drop(shape, k)
     assert report.passed and any("block-shape" in n for n in report.notes)
+    assert f"block-shape m={(ones + 2).bit_length() - 1}" in report.notes
 
 
 def test_diameter_drop_short_prefix():

@@ -59,6 +59,11 @@ SCANS = [
     "scan 3 --nmax 1024",
 ]
 
+# the block shape whose first zero is the order's trailing free slot
+VERIFY = [
+    f"verify diameter-drop --aseq {'1' * 30} --k 5",
+]
+
 # every format at the orders around the byte padding of a row, and each
 # descriptor once
 GRAPHS = [
@@ -126,7 +131,7 @@ BAD_INPUT = [
     "scan 1 --aseq 1010 --nmax 8 --jobs 1",
 ]
 
-COMMANDS = PAPER_ARTIFACTS + SCANS + GRAPHS + METRICS + REFUSALS + BAD_INPUT
+COMMANDS = PAPER_ARTIFACTS + SCANS + VERIFY + GRAPHS + METRICS + REFUSALS + BAD_INPUT
 
 
 class Entry(NamedTuple):
