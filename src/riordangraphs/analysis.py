@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .binseries import BinarySeries
 from .errors import DEFAULT_BUDGET, IoViolationError, UsageError, _guard_exponent
-from .riordan import ASequence, RiordanPair, io_pattern_extend, require_io_pattern
+from .riordan import ASequence, RiordanPair, require_io_pattern
 from .rgraph import DEFAULT_CLIQUE_CAP, Graph, build, build_bell_aseq, catalan_graph
 
 __all__ = [
@@ -73,20 +73,31 @@ def _floor_log2(n: int) -> int:
 
 def claim_order(claim: str, **params) -> Sequence[int]:
     """The orders of the graphs a verifier measures, priced before any is
-    built; `params` are the verifier's, without `a`.
+    built; `params` are the verifier's, without `a`.  Each claim's orders
+    and range checks are stated here only.
 
-    For mixed-size, monotonicity and diameter-drop the claim's range checks
-    come first, so no shift count is ever negative; then an order of 2^32
-    or more is refused at the default budget by its exponent, before it is
-    formed."""
+    The range checks come first, so no shift count is ever negative; then
+    an order given by its exponent is refused at the default budget from
+    2^32 on, before it is formed."""
     if claim == "structural":
-        return range(1, params["n_max"] + 1)
+        n_max = params["n_max"]
+        if n_max < 1:
+            raise UsageError(f"graph order must be positive, got {n_max}")
+        return range(1, n_max + 1)
     if claim == "fractal":
-        return (max(params["n"], 0),)  # the builder refuses an order below 1
-    if claim == "catalan-diameters":
-        # CG_2^k and its block of order 2^k - 1 for each k; past k = 64 the
-        # price is over 2^128, and the capped sum is still a lower bound
-        return [(1 << k) - d for k in range(1, min(params["k_max"], 64) + 1) for d in (1, 0)]
+        s, alpha_max, n = params["s"], params["alpha_max"], params["n"]
+        if s < 0 or alpha_max < 1:
+            raise UsageError("need s >= 0 and alpha_max >= 1")
+        # s past n's bit length fails the same test, refused before 2^s is formed
+        if s >= n.bit_length() or (alpha_max + 1) * (1 << s) + 1 > n:
+            raise UsageError(f"order {n} too small for s={s}, alpha_max={alpha_max}")
+        return (n,)
+    if claim == "catalan-diameters":  # CG_2^k and its block of order 2^k - 1 for each k
+        k_max = params["k_max"]
+        if k_max < 1:
+            raise UsageError("k_max must be at least 1")
+        _guard_exponent(k_max, DEFAULT_BUDGET)
+        return [(1 << k) - d for k in range(1, k_max + 1) for d in (1, 0)]
     k = params["k"]
     if claim == "mixed-size":
         m, s = params["m"], params["s"]
@@ -94,14 +105,14 @@ def claim_order(claim: str, **params) -> Sequence[int]:
             raise UsageError(f"need k > m >= 1 and s >= 0, got k={k}, m={m}, s={s}")
         _guard_exponent(k + s, DEFAULT_BUDGET)
         return (1 + (1 << m) + (((1 << (s + 1)) - 1) << k),)
-    if claim == "monotonicity":  # prefixes 2^(k+m_max), ..., 2^k; the top 65 priced
+    if claim == "monotonicity":  # prefixes 2^(k+m_max), ..., 2^k
         m_max = params["m_max"]
         if k < 2:
             raise UsageError(f"need k >= 2, got {k}")
         if m_max < 1:
             raise UsageError(f"need m_max >= 1, got {m_max}")
         _guard_exponent(k + m_max, DEFAULT_BUDGET)
-        return [(1 << (k + m_max)) >> j for j in range(min(m_max, 64) + 1)]
+        return [(1 << (k + m_max)) >> j for j in range(m_max + 1)]
     if k < 4:  # diameter-drop
         raise UsageError(f"need k >= 4, got {k}")
     _guard_exponent(k, DEFAULT_BUDGET)
@@ -223,12 +234,11 @@ def check_fractal_window(G: Graph, s: int, alpha: int) -> Optional[dict]:
 
 def verify_structural(a: ASequence, n_max: int) -> VerificationReport:
     """Universal vertex, coloring, clique and diameter bounds for all n <= n_max."""
-    require_io_pattern(a, n_max)
-    report = VerificationReport(
-        "structural", {"aseq": a.to_bitstring(), "n_max": n_max}
-    )
-    full = build_bell_aseq(a, n_max)
-    for n in range(1, n_max + 1):
+    orders = claim_order("structural", n_max=n_max)
+    require_io_pattern(a, orders[-1])
+    report = VerificationReport("structural", {"aseq": a.to_bitstring(), "n_max": n_max})
+    full = build_bell_aseq(a, orders[-1])
+    for n in orders:
         witness = check_structural_order(full.induced_prefix(n))
         if witness is not None:
             return report.fail(witness)
@@ -240,18 +250,10 @@ def verify_fractal(
     a: ASequence, s: int, alpha_max: int, n: int
 ) -> VerificationReport:
     """Windows of width 2^s (+1) along the vertex line repeat the leading block."""
-    if s < 0 or alpha_max < 1:
-        raise UsageError("need s >= 0 and alpha_max >= 1")
-    # s past n's bit length fails the same test, refused before 2^s is formed
-    if s >= n.bit_length() or (alpha_max + 1) * (1 << s) + 1 > n:
-        raise UsageError(
-            f"order {n} too small for s={s}, alpha_max={alpha_max}"
-        )
+    (n,) = claim_order("fractal", s=s, alpha_max=alpha_max, n=n)
     require_io_pattern(a, n)
-    report = VerificationReport(
-        "fractal",
-        {"aseq": a.to_bitstring(), "s": s, "alpha_max": alpha_max, "n": n},
-    )
+    params = {"aseq": a.to_bitstring(), "s": s, "alpha_max": alpha_max, "n": n}
+    report = VerificationReport("fractal", params)
     G = build_bell_aseq(a, n)
     for alpha in range(1, alpha_max + 1):
         witness = check_fractal_window(G, s, alpha)
@@ -287,21 +289,21 @@ def verify_catalan_diameters(k_max: int) -> VerificationReport:
     (1 + z, z + z^2); and in the reversed power graph the largest
     neighbor of i is 2i for i <= 2^(k-1).
     """
-    if k_max < 1:
-        raise UsageError("k_max must be at least 1")
+    orders = claim_order("catalan-diameters", k_max=k_max)
     report = VerificationReport("catalan-diameters", {"k_max": k_max})
-    for k in range(1, k_max + 1):
-        n = 1 << k
-        CG = catalan_graph(n)
+    largest = catalan_graph(orders[-1])  # each CG_n is its leading block
+    for below, n in zip(orders[::2], orders[1::2]):
+        k = n.bit_length() - 1
+        CG = largest.induced_prefix(n)
         witness = check_extremal_pairs(CG, k)
         if witness is not None:
             return report.fail(witness)
 
-        low = CG.induced_prefix(n - 1)
+        low = largest.induced_prefix(below)
         got = low.diameter()
         if got != k - 1:
             return report.fail(
-                {"kind": "diameter", "n": n - 1, "got": got, "want": k - 1}
+                {"kind": "diameter", "n": below, "got": got, "want": k - 1}
             )
 
         rev = CG.reverse_direct()
@@ -408,24 +410,19 @@ def verify_diameter_drop(a: ASequence, k: int) -> VerificationReport:
     """
     (n,) = claim_order("diameter-drop", k=k)
     require_io_pattern(a, n)
-    report = VerificationReport(
-        "diameter-drop", {"aseq": a.to_bitstring(), "k": k, "n": n}
-    )
+    report = VerificationReport("diameter-drop", {"aseq": a.to_bitstring(), "k": k, "n": n})
 
-    window = io_pattern_extend(a, max(16, n - 1))
-    ones = (window.bits + (0,)).index(0)  # leading ones
+    ones = (a.bits[: n - 1] + (0,)).index(0)  # leading ones of a_0..a_{n-2}
 
     applicable = False
     # block shape: ones up to 2^m - 2, then a zero inside the order-n window
     # (otherwise this order's graph is the all-ones graph); the io pattern
     # pairs that zero with the next slot, or it is the window's trailing slot
-    if ones < n - 1 and ones >= 14:
-        m_block = ones + 2
-        if m_block & (m_block - 1) == 0:
-            applicable = True
-            report.notes.append(f"block-shape m={m_block.bit_length() - 1}")
-    # first 16 entries not all ones
-    if any(b == 0 for b in window.bits[:16]):
+    if 14 <= ones < n - 1 and (ones + 2) & (ones + 1) == 0:
+        applicable = True
+        report.notes.append(f"block-shape m={(ones + 2).bit_length() - 1}")
+    # first 16 entries not all ones; at n = 16 the 16th entry repeats a_14
+    if ones < min(16, n - 1):
         applicable = True
         report.notes.append("short-prefix-zero")
 

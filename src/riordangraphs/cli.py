@@ -2,10 +2,10 @@
 
 Subcommands: graph, metric, verify, scan, reproduce.  Exit codes:
 0 = verified / no violations, 1 = mathematical discrepancy found,
-2 = usage or resource error; each refusal is one `error:` line.  All
-output is line-oriented UTF-8.  graph, metric, verify and scan are
-priced by `errors._guard` before anything is built: scans at --budget,
-the others at DEFAULT_BUDGET.
+2 = usage or resource error, 130 = interrupted; each refusal, and an
+interrupt, is one `error:` line.  All output is line-oriented UTF-8.
+graph, metric, verify and scan are priced by `errors._guard` before
+anything is built: scans at --budget, the others at DEFAULT_BUDGET.
 
 The grammar holds every rule on a command line's shape: a command takes
 only the arguments it reads (a metric's, claim's or conjecture's after
@@ -66,15 +66,9 @@ def _aseq(flag: str, value, order: int) -> ASequence:
     return ASequence(a.bits + (0,) * (length - len(a)))
 
 
-def _price(orders) -> None:
-    """Refuse a command that builds one graph and measures it at `orders`
-    past the default budget, before anything is built."""
-    _guard(1, orders, DEFAULT_BUDGET)
-
-
 def _graph_from_args(args, n: int) -> Graph:
     flag, value = _descriptor(args, ("family", "g", "aseq"))
-    _price((max(n, 0),))  # the builder refuses an order below 1
+    _guard(1, (max(n, 0),), DEFAULT_BUDGET)  # the builder refuses an order below 1
     if flag == "family":
         return catalan_graph(n) if value == "catalan" else pascal_graph(n)
     if flag == "g":
@@ -151,9 +145,9 @@ def _cmd_verify(args) -> int:
     # a claim that measures the caller's graph takes it from --family or --aseq
     descriptor = _descriptor(args, ("family", "aseq")) if hasattr(args, "family") else None
     orders = analysis.claim_order(args.claim, **params)
-    _price(orders)
+    _guard(1, orders, DEFAULT_BUDGET)
     if descriptor is not None:
-        params["a"] = _aseq(*descriptor, max(orders, default=0))
+        params["a"] = _aseq(*descriptor, max(orders))
     report = getattr(analysis, "verify_" + args.claim.replace("-", "_"))(**params)
     print(report.to_line())
     for note in report.notes:
@@ -341,6 +335,9 @@ def main(argv=None) -> int:
     except MemoryError:  # a size the machine cannot hold, refused by Python itself
         print("error: a requested size does not fit in memory", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # a pool's workers ignore it and are terminated
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 def entry() -> None:

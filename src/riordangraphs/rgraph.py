@@ -259,10 +259,8 @@ class Graph:
     def reverse_direct(self) -> "Graph":
         """Relabel vertex i as n+1-i by permuting the adjacency matrix."""
         n = self.n
-        # row i's bit k is the string's character i*n + n-1-k, so reading the
-        # reversed string maps entry (i, j) to (n-1-i, n-1-j)
-        bits = "".join(format(r, f"0{n}b") for r in self.rows)[::-1]
-        return Graph(n, [int(bits[i:i + n], 2) for i in range(0, n * n, n)])
+        # entry (i, j) goes to (n-1-i, n-1-j): row n-1-i is row i read backwards
+        return Graph(n, [int(format(r, f"0{n}b")[::-1], 2) for r in reversed(self.rows)])
 
     # -- cliques and colorings ----------------------------------------------
 

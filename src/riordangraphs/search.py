@@ -166,6 +166,14 @@ def _io_names(values: Iterable[int], length: int) -> Iterator[str]:
         yield _bits_text(_io_pattern(_text_bits(format(value, f"0{frees}b")), length))
 
 
+def _ignore_sigint() -> None:
+    """Pool initializer: a worker ignores SIGINT, so that the parent's
+    `error: interrupted` is a Ctrl-C's only output."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 def _sequence_diameters(name: str, n_max: int, orders: Sequence[int]) -> tuple[int, ...]:
     # module level so that it pickles for the pool
     return build_bell_aseq(ASequence(name), n_max).prefix_diameters(orders)
@@ -197,7 +205,7 @@ def _scan(
     else:
         from multiprocessing import Pool
 
-        with Pool(processes=procs) as pool:
+        with Pool(processes=procs, initializer=_ignore_sigint) as pool:
             results = pool.map(work, names, chunksize=-(-len(names) // procs))
     records = [
         SearchRecord(n, name, d, d_catalan, d_pascal, verdict(name, d, d_catalan))
@@ -247,7 +255,7 @@ def scan_conjecture1(
         names = _io_space(a_len, orders, budget)
     else:
         sequences = list(sequences)
-        price_conjecture1(n_max, [len(a) for a in sequences], budget)
+        _price(len(sequences), sum(map(len, sequences)), orders, budget)
         for a in sequences:
             require_io_pattern(a, n_max)
         names = [a.to_bitstring() for a in sequences]
@@ -306,7 +314,7 @@ def scan_conjecture2(
             "k": k,
             "n": n,
             "sequences": len(names),
-            "exhaustive": sample is None,
+            "exhaustive": len(names) == 1 << (length - 1) // 2,  # every io pattern
         },
         records,
         {"attainers": attainers, "all_ones_attains": ones in attainers},

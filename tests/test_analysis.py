@@ -14,8 +14,9 @@ from riordangraphs.analysis import (
     verify_structural,
 )
 from riordangraphs.errors import LengthError, PatternError, UsageError
-from riordangraphs.riordan import ASequence
+from riordangraphs.riordan import ASequence, io_pattern_extend
 from riordangraphs.rgraph import Graph, build_bell_aseq, catalan_graph
+from riordangraphs.search import enumerate_io_aseqs
 
 from oracles import random_io_bits
 
@@ -463,6 +464,108 @@ def test_diameter_drop_zeros_beyond_window_not_applicable():
     a = ASequence([1] * 30 + [0] * 2)
     report = verify_diameter_drop(a, 4)
     assert report.verdict == analysis.NOT_APPLICABLE
+
+
+def diameter_drop_reference(a, k, build=build_bell_aseq):
+    """The verdict and notes of `verify_diameter_drop` read off the io
+    pattern cut or extended to max(16, 2^k - 1), and the diameter of
+    `build(a, 2^k)`."""
+    n = 1 << k
+    window = io_pattern_extend(a, max(16, n - 1))
+    ones = (window.bits + (0,)).index(0)
+    notes = []
+    m_block = ones + 2
+    if ones < n - 1 and ones >= 14 and m_block & (m_block - 1) == 0:
+        notes.append(f"block-shape m={m_block.bit_length() - 1}")
+    if any(b == 0 for b in window.bits[:16]):
+        notes.append("short-prefix-zero")
+    if not notes:
+        return analysis.NOT_APPLICABLE, notes
+    return (analysis.PASS if build(a, n).diameter() < k else analysis.FAIL), notes
+
+
+@pytest.mark.parametrize("k, lengths", [(4, (15, 16, 18)), (5, (31,))])
+def test_diameter_drop_reads_the_window_its_order_needs(monkeypatch, k, lengths):
+    # every io pattern; at k = 5 both sides see a stub graph of diameter
+    # k - 1, so that 32,768 order-32 graphs are not built and measured twice
+    build = build_bell_aseq
+    if k == 5:
+        stub = type("Stub", (), {"diameter": lambda self: k - 1})()
+        build = lambda a, n: stub  # noqa: E731
+        monkeypatch.setattr(analysis, "build_bell_aseq", build)
+    for length in lengths:
+        for a in enumerate_io_aseqs(length):
+            report = verify_diameter_drop(a, k)
+            assert (report.verdict, report.notes) == diameter_drop_reference(a, k, build), a
+
+
+# -- claim orders ---------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "verify, args, orders, checks",
+    [
+        (verify_structural, (aseq_ones(15), 16), range(1, 9), 8),
+        (verify_catalan_diameters, (4,), [1, 2, 3, 4], 2),
+    ],
+)
+def test_verifiers_measure_the_claim_orders(monkeypatch, verify, args, orders, checks):
+    built = []
+    for name in ("build_bell_aseq", "catalan_graph"):
+        builder = getattr(analysis, name)
+        monkeypatch.setattr(
+            analysis, name, lambda *a, builder=builder: built.append(a[-1]) or builder(*a)
+        )
+    monkeypatch.setattr(analysis, "claim_order", lambda claim, **params: orders)
+    report = verify(*args)
+    assert report.passed and report.checks == checks
+    assert built == [orders[-1]]
+
+
+def test_fractal_measures_its_claim_order(monkeypatch):
+    built = []
+    build = analysis.build_bell_aseq
+    monkeypatch.setattr(analysis, "build_bell_aseq", lambda a, n: built.append(n) or build(a, n))
+    monkeypatch.setattr(analysis, "claim_order", lambda claim, **params: (41,))
+    report = verify_fractal(aseq_ones(40), 3, 3, 33)
+    assert report.passed and report.params["n"] == 41 and built == [41]
+
+
+@pytest.mark.parametrize(
+    "claim, params",
+    [
+        ("structural", {"n_max": 0}),
+        ("fractal", {"s": -1, "alpha_max": 2, "n": 33}),
+        ("fractal", {"s": 3, "alpha_max": 4, "n": 33}),
+        ("catalan-diameters", {"k_max": 0}),
+    ],
+)
+def test_range_checks_are_stated_in_claim_order(claim, params):
+    verify = getattr(analysis, "verify_" + claim.replace("-", "_"))
+    a = {} if claim == "catalan-diameters" else {"a": aseq_ones(40)}
+    with pytest.raises(UsageError) as stated:
+        analysis.claim_order(claim, **params)
+    with pytest.raises(UsageError) as verified:
+        verify(**a, **params)
+    assert str(verified.value) == str(stated.value)
+
+
+def test_catalan_diameters_refused_by_its_exponent():
+    from riordangraphs.errors import ScaleError
+
+    assert len(analysis.claim_order("catalan-diameters", k_max=31)) == 62
+    for k_max in (32, 10**6):
+        with pytest.raises(ScaleError, match=f"^estimate over 2\\^{2 * k_max} "):
+            verify_catalan_diameters(k_max)
+
+
+def test_catalan_diameters_builds_one_catalan_graph(capsys, monkeypatch):
+    from riordangraphs.cli import main
+
+    built = []
+    monkeypatch.setattr(analysis, "catalan_graph", lambda n: built.append(n) or catalan_graph(n))
+    assert main(["verify", "catalan-diameters", "--kmax", "6"]) == 0
+    assert capsys.readouterr().out == "catalan-diameters [k_max=6] pass checks=6\n"
+    assert built == [64]
 
 
 # -- reports --------------------------------------------------------------------------

@@ -422,8 +422,11 @@ def test_commands_price_the_orders_they_measure(capsys, monkeypatch, argv, order
 
 
 def test_price_boundary():
-    from riordangraphs.cli import _price
-    from riordangraphs.errors import ScaleError
+    from functools import partial
+
+    from riordangraphs.errors import DEFAULT_BUDGET, ScaleError, _guard
+
+    _price = partial(_guard, 1, budget=DEFAULT_BUDGET)  # the charge of one graph
 
     _price((10**4,))
     _price(range(1, 669))  # 99,582,434 visits
@@ -431,6 +434,16 @@ def test_price_boundary():
         _price((10**4 + 1,))
     with pytest.raises(ScaleError):
         _price(range(1, 670))
+
+
+def test_interrupt_is_one_line_and_exit_130(capsys, monkeypatch):
+    from riordangraphs import search
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(search, "_sequence_diameters", interrupted)
+    assert run(capsys, "scan", "2", "-k", "3", "--jobs", "1") == (130, "", "error: interrupted\n")
 
 
 def test_closed_stdout_exit2():

@@ -511,6 +511,23 @@ def test_reverse_direct_against_oracle_at_padding_orders():
             assert all(rev.neighbors(v) == oracle[v] for v in oracle)
 
 
+def test_reverse_direct_row_by_row_memory():
+    # CG_2048 reversed one row at a time: about 1.1 MB at peak, where one
+    # string of all n^2 entries and its reversed copy take about 8.5 MB
+    import tracemalloc
+
+    G = catalan_graph(2048)
+    tracemalloc.start()
+    try:
+        rev = G.reverse_direct()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert rev.reverse_direct().rows == G.rows
+    assert rev.rows[-1] == int(format(G.rows[0], "02048b")[::-1], 2)
+
+
 def test_reverse_formula_closed_forms():
     for k in (2, 3, 4, 5):
         n = 1 << k

@@ -22,6 +22,7 @@ from riordangraphs.search import (
 
 from oracles import (
     adj_sets,
+    all_sources_diameter_pairs,
     bell_graph_adj,
     diameter_oracle,
     extremal_io_attainers,
@@ -227,6 +228,13 @@ def test_scan2_default_sample_beyond_exhaustive(monkeypatch):
     assert report.params["exhaustive"] is False
 
 
+def test_scan2_exhaustive_when_every_pattern_is_named():
+    # k = 3: a sample of 100 is capped at the 8 io patterns of length 7
+    report = scan_conjecture2(3, sample=100)
+    assert report.params["exhaustive"] is True and report.params["sequences"] == 8
+    assert scan_conjecture2(4, sample=10).params["exhaustive"] is False
+
+
 def test_scan2_budget_guard():
     with pytest.raises(ScaleError):
         scan_conjecture2(5, budget=10)
@@ -251,10 +259,10 @@ def test_scan1_prices_enumerated_entries(monkeypatch):
     # budget, but 2^19 x 40 x 5 = 104,857,600 entries do not
     import tracemalloc
 
-    def no_enumeration(length):
+    def no_enumeration(values, length):
         raise AssertionError("sequences were enumerated")
 
-    monkeypatch.setattr(search, "enumerate_io_aseqs", no_enumeration)
+    monkeypatch.setattr(search, "_io_names", no_enumeration)
     tracemalloc.start()
     try:
         with pytest.raises(ScaleError) as refused:
@@ -298,6 +306,72 @@ def test_small_scans_start_no_pool(monkeypatch):
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     assert scan_conjecture2(4, jobs=2).params["sequences"] == 128
     assert scan_conjecture1(12, a_len=11, jobs=2).params["sequences"] == 32
+
+
+class InterruptedPool:
+    """A stand-in for `multiprocessing.Pool` whose `map` is interrupted;
+    leaving its `with` block terminates it, as the real pool's does."""
+
+    started = []
+
+    def __init__(self, processes, initializer=None):
+        self.initializer = initializer
+        self.terminated = False
+        InterruptedPool.started.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.terminate()
+
+    def map(self, *args, **kwargs):
+        raise KeyboardInterrupt
+
+    def terminate(self):
+        self.terminated = True
+
+
+def test_interrupted_pool_is_terminated(capsys, monkeypatch):
+    import multiprocessing
+
+    from riordangraphs.cli import main
+
+    monkeypatch.setattr(search, "POOL_MIN_VISITS", 1)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", InterruptedPool)
+    monkeypatch.setattr(InterruptedPool, "started", [])
+    assert main(["scan", "2", "-k", "3", "--jobs", "2"]) == 130
+    assert capsys.readouterr() == ("", "error: interrupted\n")
+    (pool,) = InterruptedPool.started
+    assert pool.terminated and pool.initializer is search._ignore_sigint
+
+
+def test_pool_workers_ignore_sigint():
+    import signal
+
+    previous = signal.getsignal(signal.SIGINT)
+    try:
+        search._ignore_sigint()
+        assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+    finally:
+        signal.signal(signal.SIGINT, previous)
+
+
+def test_conjecture1_first_fails_at_order_24():
+    # the order-m graph reads a_0..a_{m-2} only, so a_len 23 covers every io
+    # graph of orders 4..24; the one violation is A = 1^8 0^15 at order 24
+    def graph(bits, n):
+        adj = bell_graph_adj(bits, n)
+        return Graph(n, [sum(1 << (w - 1) for w in adj[v]) for v in range(1, n + 1)])
+
+    assert all_sources_diameter_pairs(graph((1,) * 8 + (0,) * 15, 24)) == (4, {(8, 24), (16, 24)})
+    assert all_sources_diameter_pairs(graph((1,) * 23, 24))[0] == 3  # CG_24
+    report = scan_conjecture1(24, a_len=23)
+    assert len(report.records) == 43008
+    assert [r.to_csv() for r in report.violations] == [
+        "24,11111111000000000000000,4,3,2,upper-violation"
+    ]
 
 
 def test_scan2_prices_its_two_references():

@@ -57,6 +57,12 @@ SCANS = [
     "scan 2 -k 6 --sample 300 --jobs 1",
     "scan 1 --alen 11 --nmax 12 --jobs 1",
     "scan 3 --nmax 1024",
+    # conjecture 1 first fails at order 24 over io Bell graphs (every io
+    # graph of orders 4..24 is scanned), by A = 1^8 0^15; that family fails
+    # again at 47, 48 and 88, and A = 1^8 0^8 1^8 0^15 at 40
+    "scan 1 --alen 23 --nmax 24 --violations-only --jobs 1",
+    "scan 1 --aseq-ones 8 --nmax 100 --violations-only --jobs 1",
+    f"scan 1 --aseq {'1' * 8}{'0' * 8}{'1' * 8}{'0' * 15} --nmax 40 --violations-only --jobs 1",
 ]
 
 # the block shape whose first zero is the order's trailing free slot
@@ -96,6 +102,9 @@ REFUSALS = [
     "graph --g 1 -n 10001",
     "metric --family pascal -n 10001 diameter",
     "verify catalan-diameters --kmax 13",
+    "verify catalan-diameters --kmax 40",  # refused by its exponent
+    # the range check comes before the price
+    "verify fractal --family catalan --s 40 --n 1000000000",
     "verify monotonicity --family catalan --k 10 --mmax 10",
     "verify mixed-size --family catalan --k 70 --m 1",
     "scan 1 --alen 40 --nmax 8 --jobs 1",
