@@ -27,8 +27,9 @@ import sys
 from .errors import (
     DEFAULT_BUDGET, DisconnectedError, IoViolationError, RiordanError, UsageError, _guard,
 )
-from .riordan import ASequence
-from .rgraph import Graph, build_bell_aseq, catalan_graph, pascal_graph
+from .binseries import BinarySeries, from_bitstring
+from .riordan import ASequence, RiordanPair
+from .rgraph import Graph, build, build_bell_aseq, catalan_graph, pascal_graph
 
 FAMILIES = ("catalan", "pascal")
 # reproduce target -> (Catalan order, reversed labels, golden printer)
@@ -72,16 +73,9 @@ def _graph_from_args(args, n: int) -> Graph:
     if flag == "family":
         return catalan_graph(n) if value == "catalan" else pascal_graph(n)
     if flag == "g":
-        from .binseries import from_bitstring, named_series
-        from .riordan import RiordanPair
-        from .rgraph import build
-
-        g = from_bitstring(value)
-        need = max(n - 1, 1)
-        if g.precision < need:
-            g = from_bitstring(value + "0" * (need - g.precision))
-        f = named_series("z", g.precision).mul(g)
-        return build(RiordanPair(g, f), n)
+        # widened to order n's need; a malformed literal is reported as given
+        g = BinarySeries(from_bitstring(value).bits, max(len(value), n - 1))
+        return build(RiordanPair(g, BinarySeries(g.bits << 1, g.precision)), n)
     return build_bell_aseq(_aseq(flag, value, n), n)
 
 
@@ -180,13 +174,9 @@ def _cmd_scan(args) -> int:
         )
     else:
         report = search.scan_conjecture3(args.nmax, budget=args.budget)
-    if args.violations_only:
-        print(search.CSV_HEADER)
-        for rec in report.violations:
-            print(rec.to_csv())
-    else:
-        for line in report.to_csv_lines():
-            print(line)
+    print(search.CSV_HEADER)
+    for rec in report.violations if args.violations_only else report.records:
+        print(rec.to_csv())
     summary = report.summary()
     print(
         f"# conjecture {report.conjecture}: {summary['records']} records, "

@@ -153,12 +153,9 @@ class Graph:
 
     def distance(self, u: int, v: int) -> Optional[int]:
         """Shortest-path hop count, or None when v is unreachable from u."""
-        s = self._check_vertex(u)
-        target = 1 << self._check_vertex(v)
-        for d, level in enumerate(self._sweep(s)[0]):
-            if level & target:
-                return d
-        return None
+        report = self.distances(u)
+        self._check_vertex(v)
+        return report.distance(v)
 
     def eccentricity(self, v: int) -> Optional[int]:
         """Greatest distance from v, or None when some vertex is unreachable."""
@@ -238,8 +235,7 @@ class Graph:
     def induced_prefix(self, n: int) -> "Graph":
         """Induced subgraph on vertices 1..n (a leading principal block)."""
         self._check_vertex(n)
-        mask = (1 << n) - 1
-        return Graph(n, [r & mask for r in self.rows[:n]])
+        return Graph(n, self.rows[:n])  # Graph masks each row to n bits
 
     def is_io_decomposable_by_definition(self) -> bool:
         """Even vertices induce a null graph and odd vertices induce the
@@ -260,7 +256,7 @@ class Graph:
         """Relabel vertex i as n+1-i by permuting the adjacency matrix."""
         n = self.n
         # entry (i, j) goes to (n-1-i, n-1-j): row n-1-i is row i read backwards
-        return Graph(n, [int(format(r, f"0{n}b")[::-1], 2) for r in reversed(self.rows)])
+        return Graph(n, [int(_to_bitstring(r, n), 2) for r in reversed(self.rows)])
 
     # -- cliques and colorings ----------------------------------------------
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 from itertools import accumulate, islice, repeat
 from typing import Iterable, Sequence, Union
 
-from .binseries import BinarySeries, _bits_text, _text_bits, _to_bitstring, named_series
+from .binseries import BinarySeries, _bits_text, _text_bits, _to_bitstring, from_bitstring
+from .binseries import named_series
 from .errors import InvertibilityError, LengthError, PatternError
 from .errors import PrecisionError, UsageError
 
@@ -87,8 +88,7 @@ class ASequence:
             raise LengthError(
                 f"A-sequence of length {len(self.bits)} cannot give precision {precision}"
             )
-        # the series keeps the first `precision` bits of the whole mask
-        return BinarySeries(int(self.to_bitstring()[::-1], 2), precision)
+        return from_bitstring(self.to_bitstring()).truncate(precision)
 
 
 def _io_pattern(frees: Sequence[int], length: int) -> tuple[int, ...]:

@@ -111,7 +111,7 @@ def enumerate_io_aseqs(length: int) -> Iterator[ASequence]:
     """
     if length < 2:
         raise UsageError(f"pattern sequences need length >= 2, got {length}")
-    yield from map(ASequence, _io_names(range(1 << ((length - 1) // 2)), length))
+    return map(ASequence, _io_names(range(1 << ((length - 1) // 2)), length))
 
 
 def counterexample_family(length: int) -> ASequence:

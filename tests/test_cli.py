@@ -446,6 +446,48 @@ def test_interrupt_is_one_line_and_exit_130(capsys, monkeypatch):
     assert run(capsys, "scan", "2", "-k", "3", "--jobs", "1") == (130, "", "error: interrupted\n")
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["metric", "--family", "catalan", "-n", "8", "diameter"], 0),
+    (["scan", "2", "-k", "3", "--jobs", "1"], 1),
+    (["graph", "-n", "6"], 2),  # refused inside the parser's own parse_args
+])
+def test_benchmark_hook_on_main(capsys, monkeypatch, argv, code):
+    """The benchmark's launcher (perfbench/child.py) replaces `build_parser`
+    and wraps the returned parser's `parse_args` to mark the end of set-up;
+    with --setup-only that wrapper raises SystemExit(0).  Every `main` call
+    builds one parser and parses once, and that exit is a silent 0."""
+    from riordangraphs import cli
+
+    build_parser, calls = cli.build_parser, []
+
+    def hooked(setup_only):
+        def counting_build_parser():
+            calls.append("build")
+            parser = build_parser()
+            parse_args = parser.parse_args
+
+            def counting_parse_args(args=None, namespace=None):
+                calls.append("parse")
+                ns = parse_args(args, namespace)
+                if setup_only:
+                    raise SystemExit(0)
+                return ns
+
+            parser.parse_args = counting_parse_args
+            return parser
+
+        return counting_build_parser
+
+    runs = []
+    for setup_only in (False, True):
+        calls.clear()
+        monkeypatch.setattr(cli, "build_parser", hooked(setup_only))
+        runs.append(run(capsys, *argv))
+        assert calls == ["build", "parse"]
+    assert runs[0][0] == code
+    assert runs[1] == (runs[0] if code == 2 else (0, "", ""))
+
+
 def test_closed_stdout_exit2():
     proc = subprocess.Popen(
         [sys.executable, "-m", "riordangraphs", "graph", "--family", "catalan",

@@ -47,6 +47,11 @@ def test_enumerate_len2_and_len6():
         list(enumerate_io_aseqs(1))
 
 
+def test_enumerate_refuses_a_short_length_at_the_call():
+    with pytest.raises(UsageError, match="length >= 2, got 1"):
+        enumerate_io_aseqs(1)  # not iterated
+
+
 def test_enumerate_len15_first_six_ones():
     seqs = [a for a in enumerate_io_aseqs(15) if a.bits[:6] == (1,) * 6]
     assert len(seqs) == 32

@@ -15,9 +15,11 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import shlex
 from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
 
@@ -140,7 +142,20 @@ BAD_INPUT = [
     "scan 1 --aseq 1010 --nmax 8 --jobs 1",
 ]
 
-COMMANDS = PAPER_ARTIFACTS + SCANS + VERIFY + GRAPHS + METRICS + REFUSALS + BAD_INPUT
+# help text is stdout too, wrapped at a terminal width that record() pins
+HELP = [
+    "--help",
+    "graph --help",
+    "metric --help",
+    "metric distance --help",
+    "verify --help",
+    "verify structural --help",
+    "scan --help",
+    "scan 2 --help",
+    "reproduce --help",
+]
+
+COMMANDS = PAPER_ARTIFACTS + SCANS + VERIFY + GRAPHS + METRICS + REFUSALS + BAD_INPUT + HELP
 
 
 class Entry(NamedTuple):
@@ -158,9 +173,11 @@ def _lines(text: str) -> tuple[str, ...]:
 
 
 def record(command: str) -> Entry:
-    """Run `command` through `cli.main` in this process and record it."""
+    """Run `command` through `cli.main` in this process and record it, with
+    help text wrapped at 80 columns whatever the terminal."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         code = main(shlex.split(command))
     stdout = out.getvalue()
     lines = _lines(stdout)
