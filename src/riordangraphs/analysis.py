@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from .binseries import BinarySeries
 from .errors import DEFAULT_BUDGET, IoViolationError, UsageError, _guard_exponent
 from .riordan import ASequence, RiordanPair, require_io_pattern
-from .rgraph import DEFAULT_CLIQUE_CAP, Graph, build, build_bell_aseq, catalan_graph
+from .rgraph import DEFAULT_CLIQUE_CAP, Graph, _mixed_size, build, build_bell_aseq, catalan_graph
 
 __all__ = [
     "VerificationReport",
@@ -104,7 +104,7 @@ def claim_order(claim: str, **params) -> Sequence[int]:
         if not (k > m >= 1) or s < 0:
             raise UsageError(f"need k > m >= 1 and s >= 0, got k={k}, m={m}, s={s}")
         _guard_exponent(k + s, DEFAULT_BUDGET)
-        return (1 + (1 << m) + (((1 << (s + 1)) - 1) << k),)
+        return (_mixed_size(k, m, s)[0],)
     if claim == "monotonicity":  # prefixes 2^(k+m_max), ..., 2^k
         m_max = params["m_max"]
         if k < 2:
@@ -353,14 +353,13 @@ def verify_mixed_size(k: int, m: int, s: int, a: ASequence) -> VerificationRepor
         "mixed-size", {"k": k, "m": m, "s": s, "n": n, "aseq": a.to_bitstring()}
     )
     G = build_bell_aseq(a, n)
-    bound = s + 2 if m == 1 else s + 3
+    bound = _mixed_size(k, m, s)[1]
     diam = G.diameter()
     if diam > bound:
         return report.fail({"kind": "diameter-bound", "n": n, "got": diam, "bound": bound})
     report.checks += 1
 
-    catalan_input = all(b == 1 for b in a.bits[: n - 1])
-    if catalan_input and s == 0:
+    if s == 0 and all(b == 1 for b in a.bits[: n - 1]):  # the Catalan graph
         if diam != bound:
             return report.fail(
                 {"kind": "diameter-exact", "n": n, "got": diam, "want": bound}

@@ -28,7 +28,7 @@ from .errors import (
     DEFAULT_BUDGET, DisconnectedError, IoViolationError, RiordanError, UsageError, _guard,
 )
 from .binseries import BinarySeries, from_bitstring
-from .riordan import ASequence, RiordanPair
+from .riordan import ASequence, RiordanPair, _io_length
 from .rgraph import Graph, build, build_bell_aseq, catalan_graph, pascal_graph
 
 FAMILIES = ("catalan", "pascal")
@@ -58,7 +58,7 @@ def _aseq(flag: str, value, order: int) -> ASequence:
     """The A-sequence a descriptor names, zero-extended to determine
     graphs of `order`: catalan is all ones, pascal 11, --aseq-ones N
     is N ones."""
-    length = max(order - 1, 2)
+    length = _io_length(order)
     if flag == "family":
         value = "1" * length if value == "catalan" else "11"
     elif flag == "aseq_ones":
@@ -161,7 +161,7 @@ def _cmd_scan(args) -> int:
         else:
             # priced before the descriptor is extended to order --nmax, entries too
             length = value if flag == "aseq_ones" else len(value)
-            search.price_conjecture1(args.nmax, [max(length, args.nmax - 1)], args.budget)
+            search.price_conjecture1(args.nmax, [max(length, _io_length(args.nmax))], args.budget)
             a_len, sequences = None, [_aseq(flag, value, args.nmax)]
         report = search.scan_conjecture1(
             args.nmax, a_len=a_len, sequences=sequences,

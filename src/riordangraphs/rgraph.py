@@ -20,7 +20,6 @@ from .binseries import BinarySeries, _to_bitstring
 from .errors import (
     DisconnectedError,
     IoViolationError,
-    LengthError,
     PrecisionError,
     ScaleError,
     UsageError,
@@ -30,6 +29,7 @@ from .riordan import (
     RiordanPair,
     _columns,
     _iter_bits,
+    _require_length,
     _transpose,
     bell_matrix_from_aseq,
     catalan_pair,
@@ -393,10 +393,7 @@ def build_bell_aseq(a: ASequence, n: int) -> Graph:
         raise UsageError(f"graph order must be positive, got {n}")
     if n == 1:
         return Graph(1, [0])
-    if len(a) < n - 1:
-        raise LengthError(
-            f"order {n} needs an A-sequence of length {n - 1}, got {len(a)}"
-        )
+    _require_length(a, n)
     return _symmetric([0, *bell_matrix_from_aseq(a, n - 1).rows])
 
 
@@ -408,6 +405,11 @@ def catalan_graph(n: int) -> Graph:
 def pascal_graph(n: int) -> Graph:
     """PG_n, the Riordan graph of (1/(1-z), z/(1-z))."""
     return build(pascal_pair(max(n - 1, 1)), n)
+
+
+def _mixed_size(k: int, m: int, s: int) -> tuple[int, int]:
+    """The mixed order 1 + 2^m + (2^k + ... + 2^(k+s)) and the diameter bound of its io graphs."""
+    return 1 + (1 << m) + (((1 << (s + 1)) - 1) << k), s + 2 if m == 1 else s + 3
 
 
 def reverse_formula(a: ASequence, n: int) -> Graph:

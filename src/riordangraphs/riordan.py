@@ -18,7 +18,7 @@ from itertools import accumulate, islice, repeat
 from typing import Iterable, Sequence, Union
 
 from .binseries import BinarySeries, _bits_text, _text_bits, _to_bitstring, from_bitstring
-from .binseries import named_series
+from .binseries import _catalan_bits, named_series
 from .errors import InvertibilityError, LengthError, PatternError
 from .errors import PrecisionError, UsageError
 
@@ -40,10 +40,10 @@ __all__ = [
 
 
 def catalan_bit(n: int) -> int:
-    """Parity of the n-th Catalan number: 1 exactly when n+1 is a power of two."""
+    """Parity of the n-th Catalan number: coefficient n of `named_series("catalan")`."""
     if n < 0:
         raise UsageError(f"index must be nonnegative, got {n}")
-    return 1 if (n + 1) & n == 0 else 0
+    return _catalan_bits(n + 1) >> n
 
 
 class ASequence:
@@ -100,6 +100,16 @@ def _io_pattern(frees: Sequence[int], length: int) -> tuple[int, ...]:
     return (*bits, *repeat(0, length - len(bits)))[:length]
 
 
+def _io_frees(length: int) -> int:
+    """Count of the free bits a2, a4, ... of an io pattern of `length`."""
+    return (length - 1) // 2
+
+
+def _io_length(order: int) -> int:
+    """Length of the io patterns that determine graphs of `order` (at least two)."""
+    return max(order - 1, 2)
+
+
 def is_io_pattern(a: ASequence) -> bool:
     """True when a fits (1, 1, a2, a2, a4, a4, ...): it is at least two
     long and the pattern of its own free bits a2, a4, ...
@@ -119,10 +129,13 @@ def require_io_pattern(a: ASequence, order: int) -> None:
         got, want = (*a.bits, "missing"), _io_pattern(a.bits[2::2], len(a) + 1)
         i = next(i for i, (b, w) in enumerate(zip(got, want)) if b != w)
         raise PatternError(f"A-sequence is not an io pattern: a_{i} is {got[i]}, not {want[i]}")
+    _require_length(a, order)
+
+
+def _require_length(a: ASequence, order: int) -> None:
+    """The length gate of graph orders: a graph of `order` reads a_0..a_{order-2}."""
     if len(a) < order - 1:
-        raise LengthError(
-            f"order {order} needs an A-sequence of length {order - 1}, got {len(a)}"
-        )
+        raise LengthError(f"order {order} needs an A-sequence of length {order - 1}, got {len(a)}")
 
 
 def io_pattern_extend(a: ASequence, length: int) -> ASequence:

@@ -27,8 +27,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .binseries import _bits_text, _text_bits
 from .errors import DEFAULT_BUDGET, ScaleError, UsageError, _guard, _guard_exponent, _square_sum
-from .riordan import ASequence, _io_pattern, require_io_pattern
-from .rgraph import build_bell_aseq, catalan_graph, pascal_graph
+from .riordan import ASequence, _io_frees, _io_length, _io_pattern, require_io_pattern
+from .rgraph import _mixed_size, build_bell_aseq, catalan_graph, pascal_graph
 
 __all__ = [
     "ConjectureReport",
@@ -111,7 +111,7 @@ def enumerate_io_aseqs(length: int) -> Iterator[ASequence]:
     """
     if length < 2:
         raise UsageError(f"pattern sequences need length >= 2, got {length}")
-    return map(ASequence, _io_names(range(1 << ((length - 1) // 2)), length))
+    return map(ASequence, _io_names(range(1 << _io_frees(length)), length))
 
 
 def counterexample_family(length: int) -> ASequence:
@@ -143,7 +143,7 @@ def _io_space(
 ) -> list[str]:
     """Names, in free-bit order, of every io pattern of `length` or of `sample`
     distinct ones drawn with `seed` (all-ones among them); priced at `orders` first."""
-    frees = (length - 1) // 2  # a2, a4, ...
+    frees = _io_frees(length)
     # 2^frees is capped past 2^64 and the budget, which the guard refuses alike
     space = 1 << min(frees, max(budget.bit_length(), 64) + 1)
     count = space if sample is None else min(sample, space)
@@ -161,7 +161,7 @@ def _io_space(
 def _io_names(values: Iterable[int], length: int) -> Iterator[str]:
     """Names of the io patterns of `length` whose free bits a2, a4, ..., read
     with a2 as the most significant, spell each of `values`."""
-    frees = (length - 1) // 2
+    frees = _io_frees(length)
     for value in values:
         yield _bits_text(_io_pattern(_text_bits(format(value, f"0{frees}b")), length))
 
@@ -298,7 +298,7 @@ def scan_conjecture2(
         raise UsageError(f"sample must be at least 1, got {sample}")
     _guard_exponent(k, budget)
     n = 1 << k
-    length = n - 1 if n > 2 else 2
+    length = _io_length(n)
     if sample is None and k > EXHAUSTIVE_MAX_K:
         sample = 4096
     names = _io_space(length, [n], budget, sample, seed)
@@ -308,15 +308,9 @@ def scan_conjecture2(
         lambda name, d, _: UPPER if d == k and name != ones else WITHIN,
     )
     attainers = [r.aseq for r in records if r.diam == k]
+    exhaustive = len(names) == 1 << _io_frees(length)  # every io pattern
     return ConjectureReport(
-        "2",
-        {
-            "k": k,
-            "n": n,
-            "sequences": len(names),
-            "exhaustive": len(names) == 1 << (length - 1) // 2,  # every io pattern
-        },
-        records,
+        "2", {"k": k, "n": n, "sequences": len(names), "exhaustive": exhaustive}, records,
         {"attainers": attainers, "all_ones_attains": ones in attainers},
     )
 
@@ -326,19 +320,12 @@ def mixed_size_orders(n_max: int) -> list[tuple[int, int, int, int]]:
     k > m >= 1 and s >= 1, by increasing n; each n has one (k, m, s), bit m
     being the lowest of n - 1.  Built from bit positions: 1..n_max is never walked."""
     top = n_max.bit_length()
-    out = []
-    for m in range(1, top):
-        for k in range(m + 1, top):
-            for s in range(1, top - k):
-                n = 1 + (1 << m) + (((1 << (s + 1)) - 1) << k)
-                if n <= n_max:
-                    out.append((n, k, m, s))
-    return sorted(out)
+    orders = ((_mixed_size(k, m, s)[0], k, m, s)
+              for m in range(1, top) for k in range(m + 1, top) for s in range(1, top - k))
+    return sorted(o for o in orders if o[0] <= n_max)
 
 
-def scan_conjecture3(
-    n_max: int, budget: int = DEFAULT_BUDGET
-) -> ConjectureReport:
+def scan_conjecture3(n_max: int, budget: int = DEFAULT_BUDGET) -> ConjectureReport:
     """diam(CG_n) = s + 2 (m = 1) or s + 3 at the admissible mixed orders."""
     if n_max < 8:
         raise UsageError("n_max must be at least 8")
@@ -349,13 +336,12 @@ def scan_conjecture3(
     measured = [o[0] for o in orders]
     _guard(1, measured, budget)  # CG_n_max, measured at the mixed orders
     diams = catalan_graph(n_max).prefix_diameters(measured)
-    report = ConjectureReport("3", {"n_max": n_max, "orders": len(orders)})
+    records = []
     for (n, k, m, s), d in zip(orders, diams):
-        want = s + 2 if m == 1 else s + 3
-        report.records.append(SearchRecord(
-            n, f"catalan(k={k},m={m},s={s})", d, want, 2, _band(d, want, want)
-        ))
-    return report
+        want = _mixed_size(k, m, s)[1]
+        name = f"catalan(k={k},m={m},s={s})"
+        records.append(SearchRecord(n, name, d, want, 2, _band(d, want, want)))
+    return ConjectureReport("3", {"n_max": n_max, "orders": len(orders)}, records)
 
 
 # -- reproductions -------------------------------------------------------------
@@ -395,7 +381,7 @@ def _reproduce_table(target: str) -> TableReproduction:
     from . import golden
 
     order, head = {"table1": (8, ""), "table2": (16, "111111")}[target]
-    names = [s for s in _io_space(order - 1, [order], DEFAULT_BUDGET) if s.startswith(head)]
+    names = [s for s in _io_space(_io_length(order), [order], DEFAULT_BUDGET) if s.startswith(head)]
     records, _ = _scan(names, order, [order], 1, _conjecture1)
     printed_by_seq: dict[str, list[int]] = {}
     for seq, diam in getattr(golden, f"printed_{target}")():

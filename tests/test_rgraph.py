@@ -21,6 +21,7 @@ from riordangraphs.riordan import (
     bell_matrix_from_aseq,
     catalan_pair,
     g_from_aseq,
+    require_io_pattern,
     riordan_matrix,
 )
 from riordangraphs.rgraph import (
@@ -105,6 +106,22 @@ def test_build_bell_aseq_matches_pairs():
     ).rows
     with pytest.raises(LengthError):
         io_graph([1, 1, 1], 8)
+
+
+@pytest.mark.parametrize("n", [2, 3, 40])
+def test_builder_and_io_gate_share_one_length_gate(n):
+    # the io pattern one entry short of order n; every io pattern is at least
+    # two long, so none is short of orders 2 and 3, and there both take "11"
+    a = ASequence("11" + "0" * (n - 4)) if n > 3 else ASequence("11")
+
+    def refusal(gate):
+        try:
+            gate(a, n)
+        except LengthError as e:
+            return str(e)
+
+    short = f"order {n} needs an A-sequence of length {n - 1}, got {n - 2}"
+    assert refusal(build_bell_aseq) == refusal(require_io_pattern) == (short if n > 3 else None)
 
 
 @settings(max_examples=60, deadline=None)

@@ -23,6 +23,7 @@ from riordangraphs.riordan import (
     pascal_pair,
     riordan_matrix,
     RiordanPair,
+    _io_length,
     _io_pattern,
     _transpose,
 )
@@ -55,6 +56,16 @@ def test_catalan_bit_against_exact_integers():
     cat = catalan_ints(512)
     for n in range(512):
         assert catalan_bit(n) == cat[n] & 1
+
+
+def test_catalan_bit_reads_the_catalan_series():
+    series = named_series("catalan", 4096)
+    assert [catalan_bit(i) for i in range(4096)] == [series.coeff(i) for i in range(4096)]
+
+
+def test_io_length_rule():
+    # an io pattern of order n reads a_0..a_{n-2}, and is at least two long
+    assert [_io_length(n) for n in (1, 2, 3, 64)] == [2, 2, 2, 63]
 
 
 def test_aseq_literal_and_validation():

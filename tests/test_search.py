@@ -1,9 +1,10 @@
 import pytest
 
 from riordangraphs import search
+from riordangraphs.analysis import claim_order, verify_mixed_size
 from riordangraphs.errors import LengthError, PatternError, ScaleError, UsageError
 from riordangraphs.golden import printed_counterexamples
-from riordangraphs.riordan import ASequence, is_io_pattern
+from riordangraphs.riordan import ASequence, _io_frees, is_io_pattern
 from riordangraphs.rgraph import DistanceReport, Graph, build_bell_aseq, catalan_graph
 from riordangraphs.search import (
     CSV_HEADER,
@@ -50,6 +51,18 @@ def test_enumerate_len2_and_len6():
 def test_enumerate_refuses_a_short_length_at_the_call():
     with pytest.raises(UsageError, match="length >= 2, got 1"):
         enumerate_io_aseqs(1)  # not iterated
+
+
+def test_free_bit_count_is_the_enumerated_count():
+    for length in range(2, 41):
+        assert _io_frees(length) == len(range(2, length, 2))  # the slots a2, a4, ...
+    # every length to 32 (2^15 patterns at 31 and 32); to 40 it takes about 17 s
+    for length in range(2, 33):
+        count, last = 0, ()
+        for a in enumerate_io_aseqs(length):
+            assert a.bits > last  # strictly increasing, so distinct
+            count, last = count + 1, a.bits
+        assert count == 1 << _io_frees(length)
 
 
 def test_enumerate_len15_first_six_ones():
@@ -417,6 +430,18 @@ def test_mixed_size_orders():
     assert all(n == 1 + (1 << m) + sum(1 << (k + j) for j in range(s + 1))
                for n, k, m, s in orders)
     assert len(orders) == len({n for n, *_ in orders})
+
+
+def test_mixed_size_order_and_bound_agree_across_modules(monkeypatch):
+    # verify mixed-size and scan 3 read one statement of the order and the bound
+    rows = {r.n: r for r in scan_conjecture3(256).records}
+    orders = mixed_size_orders(256)
+    assert sorted(rows) == [n for n, *_ in orders]
+    monkeypatch.setattr(Graph, "diameter", lambda self: self.n)  # past every bound
+    for n, k, m, s in orders:
+        assert tuple(claim_order("mixed-size", k=k, m=m, s=s)) == (n,)
+        report = verify_mixed_size(k, m, s, ASequence("1" * (n - 1)))
+        assert report.witness["bound"] == rows[n].diam_catalan
 
 
 def test_scan1_verdicts_at_the_band_edges(monkeypatch):
