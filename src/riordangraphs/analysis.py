@@ -359,7 +359,8 @@ def verify_mixed_size(k: int, m: int, s: int, a: ASequence) -> VerificationRepor
         return report.fail({"kind": "diameter-bound", "n": n, "got": diam, "bound": bound})
     report.checks += 1
 
-    if s == 0 and all(b == 1 for b in a.bits[: n - 1]):  # the Catalan graph
+    catalan_input = all(b == 1 for b in a.bits[: n - 1])
+    if catalan_input and s == 0:
         if diam != bound:
             return report.fail(
                 {"kind": "diameter-exact", "n": n, "got": diam, "want": bound}

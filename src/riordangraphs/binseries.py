@@ -55,8 +55,16 @@ def _compose_bits(abits: int, bbits: int, precision: int) -> int:
     return out
 
 
+# C_n is odd exactly when n + 1 is a power of two: `catalan_bit` tests one
+# index in constant time, `_catalan_bits` sets each such bit 2^k - 1 of a mask.
+def catalan_bit(n: int) -> int:
+    """Parity of the n-th Catalan number: 1 exactly when n+1 is a power of two."""
+    if n < 0:
+        raise UsageError(f"index must be nonnegative, got {n}")
+    return 1 if (n + 1) & n == 0 else 0
+
+
 def _catalan_bits(precision: int) -> int:
-    # C_n is odd exactly when n + 1 is a power of two
     return sum(1 << (1 << k) - 1 for k in range(precision.bit_length()))
 
 

@@ -18,7 +18,7 @@ from itertools import accumulate, islice, repeat
 from typing import Iterable, Sequence, Union
 
 from .binseries import BinarySeries, _bits_text, _text_bits, _to_bitstring, from_bitstring
-from .binseries import _catalan_bits, named_series
+from .binseries import catalan_bit, named_series
 from .errors import InvertibilityError, LengthError, PatternError
 from .errors import PrecisionError, UsageError
 
@@ -37,13 +37,6 @@ __all__ = [
     "require_io_pattern",
     "riordan_matrix",
 ]
-
-
-def catalan_bit(n: int) -> int:
-    """Parity of the n-th Catalan number: coefficient n of `named_series("catalan")`."""
-    if n < 0:
-        raise UsageError(f"index must be nonnegative, got {n}")
-    return _catalan_bits(n + 1) >> n
 
 
 class ASequence:
@@ -135,7 +128,9 @@ def require_io_pattern(a: ASequence, order: int) -> None:
 def _require_length(a: ASequence, order: int) -> None:
     """The length gate of graph orders: a graph of `order` reads a_0..a_{order-2}."""
     if len(a) < order - 1:
-        raise LengthError(f"order {order} needs an A-sequence of length {order - 1}, got {len(a)}")
+        raise LengthError(
+            f"order {order} needs an A-sequence of length {order - 1}, got {len(a)}"
+        )
 
 
 def io_pattern_extend(a: ASequence, length: int) -> ASequence:

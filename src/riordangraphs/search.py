@@ -308,9 +308,15 @@ def scan_conjecture2(
         lambda name, d, _: UPPER if d == k and name != ones else WITHIN,
     )
     attainers = [r.aseq for r in records if r.diam == k]
-    exhaustive = len(names) == 1 << _io_frees(length)  # every io pattern
     return ConjectureReport(
-        "2", {"k": k, "n": n, "sequences": len(names), "exhaustive": exhaustive}, records,
+        "2",
+        {
+            "k": k,
+            "n": n,
+            "sequences": len(names),
+            "exhaustive": len(names) == 1 << _io_frees(length),  # every io pattern
+        },
+        records,
         {"attainers": attainers, "all_ones_attains": ones in attainers},
     )
 
@@ -320,12 +326,19 @@ def mixed_size_orders(n_max: int) -> list[tuple[int, int, int, int]]:
     k > m >= 1 and s >= 1, by increasing n; each n has one (k, m, s), bit m
     being the lowest of n - 1.  Built from bit positions: 1..n_max is never walked."""
     top = n_max.bit_length()
-    orders = ((_mixed_size(k, m, s)[0], k, m, s)
-              for m in range(1, top) for k in range(m + 1, top) for s in range(1, top - k))
-    return sorted(o for o in orders if o[0] <= n_max)
+    out = []
+    for m in range(1, top):
+        for k in range(m + 1, top):
+            for s in range(1, top - k):
+                n = _mixed_size(k, m, s)[0]
+                if n <= n_max:
+                    out.append((n, k, m, s))
+    return sorted(out)
 
 
-def scan_conjecture3(n_max: int, budget: int = DEFAULT_BUDGET) -> ConjectureReport:
+def scan_conjecture3(
+    n_max: int, budget: int = DEFAULT_BUDGET
+) -> ConjectureReport:
     """diam(CG_n) = s + 2 (m = 1) or s + 3 at the admissible mixed orders."""
     if n_max < 8:
         raise UsageError("n_max must be at least 8")
@@ -336,12 +349,13 @@ def scan_conjecture3(n_max: int, budget: int = DEFAULT_BUDGET) -> ConjectureRepo
     measured = [o[0] for o in orders]
     _guard(1, measured, budget)  # CG_n_max, measured at the mixed orders
     diams = catalan_graph(n_max).prefix_diameters(measured)
-    records = []
+    report = ConjectureReport("3", {"n_max": n_max, "orders": len(orders)})
     for (n, k, m, s), d in zip(orders, diams):
         want = _mixed_size(k, m, s)[1]
-        name = f"catalan(k={k},m={m},s={s})"
-        records.append(SearchRecord(n, name, d, want, 2, _band(d, want, want)))
-    return ConjectureReport("3", {"n_max": n_max, "orders": len(orders)}, records)
+        report.records.append(SearchRecord(
+            n, f"catalan(k={k},m={m},s={s})", d, want, 2, _band(d, want, want)
+        ))
+    return report
 
 
 # -- reproductions -------------------------------------------------------------

@@ -58,9 +58,25 @@ def test_catalan_bit_against_exact_integers():
         assert catalan_bit(n) == cat[n] & 1
 
 
-def test_catalan_bit_reads_the_catalan_series():
+def test_catalan_bit_agrees_with_the_catalan_series():
     series = named_series("catalan", 4096)
     assert [catalan_bit(i) for i in range(4096)] == [series.coeff(i) for i in range(4096)]
+
+
+def test_catalan_bit_cost_does_not_grow_with_the_index():
+    import tracemalloc
+
+    # a mask of n bits per call (2 MB at n = 2^24) fails here, before the
+    # indexes near 2^40 would ask for 128 GB
+    tracemalloc.start()
+    try:
+        assert catalan_bit((1 << 24) - 1) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert catalan_bit((1 << 40) - 1) == 1
+    assert catalan_bit(1 << 40) == 0
 
 
 def test_io_length_rule():
