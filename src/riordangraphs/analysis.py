@@ -98,6 +98,8 @@ def claim_order(claim: str, **params) -> Sequence[int]:
             raise UsageError("k_max must be at least 1")
         _guard_exponent(k_max, DEFAULT_BUDGET)
         return [(1 << k) - d for k in range(1, k_max + 1) for d in (1, 0)]
+    if claim not in ("mixed-size", "monotonicity", "diameter-drop"):
+        raise UsageError(f"unknown claim {claim!r}")
     k = params["k"]
     if claim == "mixed-size":
         m, s = params["m"], params["s"]
@@ -311,8 +313,7 @@ def verify_catalan_diameters(k_max: int) -> VerificationReport:
             ("reversed-power-pair", rev, 0b1),
             ("reversed-near-power-pair", low.reverse_direct(), 0b11),
         ):
-            prec = max(got.n - 1, 2)
-            form = build(RiordanPair(BinarySeries(g, prec), BinarySeries(0b110, prec)), got.n)
+            form = build(RiordanPair(BinarySeries(g, got.n), BinarySeries(0b110, got.n)), got.n)
             if got.rows != form.rows:
                 return report.fail(_first_entry_diff(tag, got.n, got, form))
 

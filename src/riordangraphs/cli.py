@@ -177,10 +177,9 @@ def _cmd_scan(args) -> int:
     print(search.CSV_HEADER)
     for rec in report.violations if args.violations_only else report.records:
         print(rec.to_csv())
-    summary = report.summary()
     print(
-        f"# conjecture {report.conjecture}: {summary['records']} records, "
-        f"{summary['violations']} violations",
+        f"# conjecture {report.conjecture}: {len(report.records)} records, "
+        f"{len(report.violations)} violations",
         file=sys.stderr,
     )
     return 0 if report.passed else 1

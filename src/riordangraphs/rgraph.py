@@ -341,17 +341,6 @@ class Graph:
     def edges_csv(self) -> str:
         return "\n".join(["u,v"] + [f"{u},{v}" for u, v in self.edges()])
 
-    def distances_csv(self) -> str:
-        """All-pairs distance matrix as CSV; blank cell = unreachable."""
-        header = "v," + ",".join(str(j) for j in range(1, self.n + 1))
-        lines = [header]
-        for u in range(1, self.n + 1):
-            row = self.distances(u).dists
-            lines.append(
-                f"{u}," + ",".join("" if d is None else str(d) for d in row)
-            )
-        return "\n".join(lines)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -371,10 +360,8 @@ def _symmetric(half: Sequence[int]) -> Graph:
 
 def build(pair: RiordanPair, n: int) -> Graph:
     """Riordan graph of order n: r(i, j) = [z^(i-2)] g f^(j-1) for i > j."""
-    if n < 1:
-        raise UsageError(f"graph order must be positive, got {n}")
-    if n == 1:
-        return Graph(1, [0])
+    if n <= 1:
+        return Graph(n, [0] * n)
     if pair.precision < n - 1:
         raise PrecisionError(
             f"pair precision {pair.precision} too small for graph order {n}"
@@ -389,11 +376,9 @@ def build_bell_aseq(a: ASequence, n: int) -> Graph:
     The order-n graph reads triangle rows 0..n-2, so it needs the prefix
     (1, a_1, ..., a_{n-2}): length at least n-1.
     """
-    if n < 1:
-        raise UsageError(f"graph order must be positive, got {n}")
-    if n == 1:
-        return Graph(1, [0])
-    _require_length(a, n)
+    if n <= 1:
+        return Graph(n, [0] * n)
+    _require_length(len(a), n)
     return _symmetric([0, *bell_matrix_from_aseq(a, n - 1).rows])
 
 
@@ -419,8 +404,8 @@ def reverse_formula(a: ASequence, n: int) -> Graph:
     pattern sequences this equals reverse_direct of the grown graph.
     """
     require_io_pattern(a, n)
-    if n == 1:
-        return build(RiordanPair(a.series(1), BinarySeries(0, 1)), 1)
+    if n <= 1:
+        return Graph(n, [0] * n)
     # One pattern-extension step: for even n the new slot is the pair
     # closer (determined); for odd n the derivative kills the new slot's
     # coefficient, so the filler value never reaches the result.

@@ -122,14 +122,14 @@ def require_io_pattern(a: ASequence, order: int) -> None:
         got, want = (*a.bits, "missing"), _io_pattern(a.bits[2::2], len(a) + 1)
         i = next(i for i, (b, w) in enumerate(zip(got, want)) if b != w)
         raise PatternError(f"A-sequence is not an io pattern: a_{i} is {got[i]}, not {want[i]}")
-    _require_length(a, order)
+    _require_length(len(a), order)
 
 
-def _require_length(a: ASequence, order: int) -> None:
+def _require_length(length: int, order: int) -> None:
     """The length gate of graph orders: a graph of `order` reads a_0..a_{order-2}."""
-    if len(a) < order - 1:
+    if length < order - 1:
         raise LengthError(
-            f"order {order} needs an A-sequence of length {order - 1}, got {len(a)}"
+            f"order {order} needs an A-sequence of length {order - 1}, got {length}"
         )
 
 

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .binseries import _bits_text, _text_bits
 from .errors import DEFAULT_BUDGET, ScaleError, UsageError, _guard, _guard_exponent, _square_sum
-from .riordan import ASequence, _io_frees, _io_length, _io_pattern, require_io_pattern
+from .riordan import ASequence, _io_frees, _io_length, _io_pattern, _require_length, require_io_pattern
 from .rgraph import _mixed_size, build_bell_aseq, catalan_graph, pascal_graph
 
 __all__ = [
@@ -92,12 +92,6 @@ class ConjectureReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def summary(self) -> dict:
-        return {
-            "records": len(self.records),
-            "violations": len(self.violations),
-        }
 
     def to_csv_lines(self) -> list[str]:
         return [CSV_HEADER] + [r.to_csv() for r in self.records]
@@ -250,8 +244,7 @@ def scan_conjecture1(
     if sequences is None:
         if a_len is None:
             raise UsageError("need a_len or an explicit sequence list")
-        if a_len < n_max - 1:
-            raise UsageError(f"a_len {a_len} cannot determine graphs up to order {n_max}")
+        _require_length(a_len, n_max)
         names = _io_space(a_len, orders, budget)
     else:
         sequences = list(sequences)
@@ -379,7 +372,6 @@ class TableRow(NamedTuple):
 class TableReproduction(NamedTuple):
     """Recomputed table next to its printed version, with anomaly notes."""
 
-    name: str
     rows: list
     duplicates: list  # (aseq, times printed, printed values)
     omitted: list  # enumerated sequences the printed table lacks
@@ -416,7 +408,7 @@ def _reproduce_table(target: str) -> TableReproduction:
     ]
     omitted = [r.aseq for r in records if r.aseq not in printed_by_seq]
     foreign = sorted(set(printed_by_seq) - {r.aseq for r in records})
-    return TableReproduction(f"diam{order}", rows, duplicates, omitted, foreign)
+    return TableReproduction(rows, duplicates, omitted, foreign)
 
 
 def reproduce_tables(*targets: str) -> tuple[TableReproduction, ...]:
@@ -425,4 +417,7 @@ def reproduce_tables(*targets: str) -> tuple[TableReproduction, ...]:
     "table1" (diam8) is all 8 patterns of length 7 at order 8, scan 2's rows at k = 3;
     "table2" (diam16) the 32 of length 15 whose first six entries are ones, at order 16.
     """
+    unknown = [t for t in targets if t not in ("table1", "table2")]
+    if unknown:
+        raise UsageError(f"unknown table {unknown[0]!r}; expected table1 or table2")
     return tuple(map(_reproduce_table, targets or ("table1", "table2")))

@@ -549,6 +549,16 @@ def test_range_checks_are_stated_in_claim_order(claim, params):
     assert str(verified.value) == str(stated.value)
 
 
+@pytest.mark.parametrize(
+    "claim, params",
+    [("mixed_size", {"k": 4, "m": 1, "s": 0}), ("bogus", {"k": 5}), ("bogus", {})],
+)
+def test_claim_order_refuses_an_unknown_claim(claim, params):
+    # not read as diameter-drop, and refused before any parameter is read
+    with pytest.raises(UsageError, match=f"^unknown claim '{claim}'$"):
+        analysis.claim_order(claim, **params)
+
+
 def test_catalan_diameters_refused_by_its_exponent():
     from riordangraphs.errors import ScaleError
 

@@ -184,6 +184,25 @@ def test_build_order_one():
             refused()
 
 
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: Graph(n, []),
+        lambda n: build(catalan_pair(1), n),
+        lambda n: build_bell_aseq(ASequence("11"), n),
+        lambda n: reverse_formula(ASequence("11"), n),
+        catalan_graph,
+        pascal_graph,
+    ],
+    ids=["Graph", "build", "build_bell_aseq", "reverse_formula", "catalan_graph", "pascal_graph"],
+)
+def test_order_below_one_is_refused_by_graph(make, n):
+    # every builder hands an order below one to Graph, whose refusal is the one text
+    with pytest.raises(UsageError, match=f"^graph order must be positive, got {n}$"):
+        make(n)
+
+
 # -- metrics -----------------------------------------------------------------
 
 def test_distance_examples():
@@ -711,9 +730,6 @@ def test_exports():
     assert dot.startswith("graph G {") and "3 -- 5;" in dot and dot.endswith("}")
     csv = CG6.edges_csv().splitlines()
     assert csv[0] == "u,v" and f"{3},{4}" in csv
-    dcsv = CG6.distances_csv().splitlines()
-    assert dcsv[0] == "v,1,2,3,4,5,6"
-    assert len(dcsv) == 7 and dcsv[1].startswith("1,0,1,1,")
 
 
 def test_matrix_text_against_the_loop():

@@ -137,7 +137,8 @@ def test_scan1_violation_closure():
 
 
 def test_scan1_guards():
-    with pytest.raises(UsageError):
+    # a short a_len gets the length gate's refusal, as a short explicit sequence does
+    with pytest.raises(LengthError, match=r"^order 10 needs an A-sequence of length 9, got 5$"):
         scan_conjecture1(10, a_len=5)
     with pytest.raises(UsageError):
         scan_conjecture1(3, a_len=7)
@@ -593,6 +594,12 @@ def test_reproduce_tables_builds_only_the_tables_asked_for(monkeypatch):
     assert reproduce_tables("table2") == both[1:]
     assert reproduce_tables("table1", "table2") == both
     assert [len(names) for names in scans] == [32, 8, 32]
+
+
+def test_reproduce_tables_refuses_an_unknown_target_before_building(monkeypatch):
+    monkeypatch.setattr(search, "_scan", lambda *args: pytest.fail("a table was built"))
+    with pytest.raises(UsageError, match="^unknown table 'table3'; expected table1 or table2$"):
+        reproduce_tables("table1", "table3")
 
 
 def test_reproduce_tables_diam8():

@@ -140,6 +140,8 @@ BAD_INPUT = [
     # a pattern refusal names the first bad entry, not the extended sequence
     "verify monotonicity --aseq 1 --k 7 --mmax 4",
     "scan 1 --aseq 1010 --nmax 8 --jobs 1",
+    # a short --alen gets the length gate's refusal, as a short sequence does
+    "scan 1 --alen 5 --nmax 10 --jobs 1",
 ]
 
 # help text is stdout too, wrapped at a terminal width that record() pins
