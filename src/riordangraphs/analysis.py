@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .binseries import BinarySeries
-from .errors import DEFAULT_BUDGET, IoViolationError, UsageError, _guard_exponent
+from .errors import DEFAULT_BUDGET, IoViolationError, UsageError, _guard, _guard_exponent
 from .riordan import ASequence, RiordanPair, require_io_pattern
 from .rgraph import DEFAULT_CLIQUE_CAP, Graph, _mixed_size, build, build_bell_aseq, catalan_graph
 
@@ -73,52 +73,56 @@ def _floor_log2(n: int) -> int:
 
 def claim_order(claim: str, **params) -> Sequence[int]:
     """The orders of the graphs a verifier measures, priced before any is
-    built; `params` are the verifier's, without `a`.  Each claim's orders
-    and range checks are stated here only.
+    built; `params` are the verifier's, without `a`.  Each claim's orders,
+    range checks and price are stated here only.
 
     The range checks come first, so no shift count is ever negative; then
     an order given by its exponent is refused at the default budget from
-    2^32 on, before it is formed."""
+    2^32 on, before it is formed; then the orders are priced as one graph
+    measured at each, at the default budget."""
     if claim == "structural":
         n_max = params["n_max"]
         if n_max < 1:
             raise UsageError(f"graph order must be positive, got {n_max}")
-        return range(1, n_max + 1)
-    if claim == "fractal":
+        orders = range(1, n_max + 1)
+    elif claim == "fractal":
         s, alpha_max, n = params["s"], params["alpha_max"], params["n"]
         if s < 0 or alpha_max < 1:
             raise UsageError("need s >= 0 and alpha_max >= 1")
         # s past n's bit length fails the same test, refused before 2^s is formed
         if s >= n.bit_length() or (alpha_max + 1) * (1 << s) + 1 > n:
             raise UsageError(f"order {n} too small for s={s}, alpha_max={alpha_max}")
-        return (n,)
-    if claim == "catalan-diameters":  # CG_2^k and its block of order 2^k - 1 for each k
+        orders = (n,)
+    elif claim == "catalan-diameters":  # CG_2^k and its block of order 2^k - 1 for each k
         k_max = params["k_max"]
         if k_max < 1:
             raise UsageError("k_max must be at least 1")
         _guard_exponent(k_max, DEFAULT_BUDGET)
-        return [(1 << k) - d for k in range(1, k_max + 1) for d in (1, 0)]
-    if claim not in ("mixed-size", "monotonicity", "diameter-drop"):
-        raise UsageError(f"unknown claim {claim!r}")
-    k = params["k"]
-    if claim == "mixed-size":
-        m, s = params["m"], params["s"]
+        orders = [(1 << k) - d for k in range(1, k_max + 1) for d in (1, 0)]
+    elif claim == "mixed-size":
+        k, m, s = params["k"], params["m"], params["s"]
         if not (k > m >= 1) or s < 0:
             raise UsageError(f"need k > m >= 1 and s >= 0, got k={k}, m={m}, s={s}")
         _guard_exponent(k + s, DEFAULT_BUDGET)
-        return (_mixed_size(k, m, s)[0],)
-    if claim == "monotonicity":  # prefixes 2^(k+m_max), ..., 2^k
-        m_max = params["m_max"]
+        orders = (_mixed_size(k, m, s)[0],)
+    elif claim == "monotonicity":  # prefixes 2^(k+m_max), ..., 2^k
+        k, m_max = params["k"], params["m_max"]
         if k < 2:
             raise UsageError(f"need k >= 2, got {k}")
         if m_max < 1:
             raise UsageError(f"need m_max >= 1, got {m_max}")
         _guard_exponent(k + m_max, DEFAULT_BUDGET)
-        return [(1 << (k + m_max)) >> j for j in range(m_max + 1)]
-    if k < 4:  # diameter-drop
-        raise UsageError(f"need k >= 4, got {k}")
-    _guard_exponent(k, DEFAULT_BUDGET)
-    return (1 << k,)
+        orders = [(1 << (k + m_max)) >> j for j in range(m_max + 1)]
+    elif claim == "diameter-drop":
+        k = params["k"]
+        if k < 4:
+            raise UsageError(f"need k >= 4, got {k}")
+        _guard_exponent(k, DEFAULT_BUDGET)
+        orders = (1 << k,)
+    else:
+        raise UsageError(f"unknown claim {claim!r}")
+    _guard(1, orders, DEFAULT_BUDGET)
+    return orders
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .binseries import BinarySeries, from_bitstring
 from .riordan import ASequence, RiordanPair, _io_length
-from .rgraph import Graph, build, build_bell_aseq, catalan_graph, pascal_graph
+from .rgraph import Graph, _require_clique_order, build, build_bell_aseq, catalan_graph, pascal_graph
 
 FAMILIES = ("catalan", "pascal")
 # reproduce target -> (Catalan order, reversed labels, golden printer)
@@ -70,6 +70,8 @@ def _aseq(flag: str, value, order: int) -> ASequence:
 def _graph_from_args(args, n: int) -> Graph:
     flag, value = _descriptor(args, ("family", "g", "aseq"))
     _guard(1, (max(n, 0),), DEFAULT_BUDGET)  # the builder refuses an order below 1
+    if getattr(args, "metric", None) == "clique":  # `graph` has no metric
+        _require_clique_order(n)
     if flag == "family":
         return catalan_graph(n) if value == "catalan" else pascal_graph(n)
     if flag == "g":
@@ -138,8 +140,7 @@ def _cmd_verify(args) -> int:
     params = {name: getattr(args, name) for name in args.params}
     # a claim that measures the caller's graph takes it from --family or --aseq
     descriptor = _descriptor(args, ("family", "aseq")) if hasattr(args, "family") else None
-    orders = analysis.claim_order(args.claim, **params)
-    _guard(1, orders, DEFAULT_BUDGET)
+    orders = analysis.claim_order(args.claim, **params)  # priced there
     if descriptor is not None:
         params["a"] = _aseq(*descriptor, max(orders))
     report = getattr(analysis, "verify_" + args.claim.replace("-", "_"))(**params)
@@ -294,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan2.add_argument("--seed", type=int, default=0)
     for c in (scan1, scan2, scan3):
         c.add_argument("--violations-only", action="store_true")
-        # scan 3 measures one graph per order in one process and ignores the
-        # value, but takes --jobs as every scan does, so that its command lines run
+        # scan 3 measures its two reference graphs in one process and ignores
+        # the value, but takes --jobs as every scan does, so that its command lines run
         c.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
         c.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         c.set_defaults(func=_cmd_scan)

@@ -51,6 +51,12 @@ __all__ = [
 DEFAULT_CLIQUE_CAP = 64
 
 
+def _require_clique_order(n: int, cap: int = DEFAULT_CLIQUE_CAP) -> None:
+    """Refuse an exact clique search on `n` vertices past `cap`, before or after a build."""
+    if n > cap:
+        raise ScaleError(f"exact clique search capped at order {cap}, graph has {n}")
+
+
 class DistanceReport(NamedTuple):
     """BFS distances from one source; None marks unreachable vertices."""
 
@@ -262,10 +268,7 @@ class Graph:
 
     def max_clique_size(self, cap: int = DEFAULT_CLIQUE_CAP) -> int:
         """Exact maximum clique size by branch and bound on bit sets."""
-        if self.n > cap:
-            raise ScaleError(
-                f"exact clique search capped at order {cap}, graph has {self.n}"
-            )
+        _require_clique_order(self.n, cap)
         rows = self.rows
         best = 1  # a single vertex is always a clique
 

@@ -35,7 +35,6 @@ __all__ = [
     "SearchRecord",
     "TableReproduction",
     "counterexample_family",
-    "enumerate_io_aseqs",
     "mixed_size_orders",
     "price_conjecture1",
     "reproduce_counterexamples",
@@ -92,20 +91,6 @@ class ConjectureReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def to_csv_lines(self) -> list[str]:
-        return [CSV_HEADER] + [r.to_csv() for r in self.records]
-
-
-def enumerate_io_aseqs(length: int) -> Iterator[ASequence]:
-    """All io-pattern A-sequences of a given length.
-
-    Yields 2^ceil((length-2)/2) sequences in lexicographic order of their
-    free bits (a2, a4, ...); a trailing unpaired even slot is free too.
-    """
-    if length < 2:
-        raise UsageError(f"pattern sequences need length >= 2, got {length}")
-    return map(ASequence, _io_names(range(1 << _io_frees(length)), length))
 
 
 def counterexample_family(length: int) -> ASequence:
@@ -179,15 +164,15 @@ def _scan(
     orders: Sequence[int],
     jobs: int,
     verdict: Callable[[str, int, int], str],
-) -> tuple[list[SearchRecord], dict[int, int]]:
+) -> tuple[list[SearchRecord], tuple[int, ...], tuple[int, ...]]:
     """The one path from A-sequences, given by their `names`, to diameter
     rows: one record per (order, sequence), built in (n, aseq) order from the
-    ascending `orders` and the sorted names, and the Pascal reference
-    diameters by order.  The references are the prefixes of CG and PG of
-    order `n_max`; the Bell diameters run on min(jobs, cpu count, len(names),
-    visits // POOL_MIN_VISITS) processes, each given one contiguous run of the
-    sorted names, with visits the Bell graphs' share of the scan's price;
-    `verdict(aseq, diam, diam_catalan)` rates each record."""
+    ascending `orders` and the sorted names, and the Catalan and Pascal
+    reference diameters at `orders`.  The references are the prefixes of CG
+    and PG of order `n_max`; the Bell diameters run on min(jobs, cpu count,
+    len(names), visits // POOL_MIN_VISITS) processes, each given one
+    contiguous run of the sorted names, with visits the Bell graphs' share of
+    the scan's price; `verdict(aseq, diam, diam_catalan)` rates each record."""
     names = sorted(names)
     ref_catalan = catalan_graph(n_max).prefix_diameters(orders)
     ref_pascal = pascal_graph(n_max).prefix_diameters(orders)
@@ -206,7 +191,7 @@ def _scan(
         for n, d_catalan, d_pascal, diams in zip(orders, ref_catalan, ref_pascal, zip(*results))
         for name, d in zip(names, diams)
     ]
-    return records, dict(zip(orders, ref_pascal))
+    return records, ref_catalan, ref_pascal
 
 
 def _band(d: int, low: int, high: int) -> str:
@@ -253,7 +238,7 @@ def scan_conjecture1(
             require_io_pattern(a, n_max)
         names = [a.to_bitstring() for a in sequences]
 
-    records, ref_pascal = _scan(names, n_max, orders, jobs, _conjecture1)
+    records, _, ref_pascal = _scan(names, n_max, orders, jobs, _conjecture1)
     off_two = {r.aseq for r in records if r.diam != 2}
     return ConjectureReport(
         "1",
@@ -264,7 +249,7 @@ def scan_conjecture1(
                 name for name in names
                 if name not in off_two and name.rstrip("0") != "11"  # not Pascal
             ],
-            "pascal_reference": ref_pascal,
+            "pascal_reference": dict(zip(orders, ref_pascal)),
         },
     )
 
@@ -296,7 +281,7 @@ def scan_conjecture2(
         sample = 4096
     names = _io_space(length, [n], budget, sample, seed)
     ones = "1" * length
-    records, _ = _scan(
+    records, *_ = _scan(
         names, n, [n], jobs,
         lambda name, d, _: UPPER if d == k and name != ones else WITHIN,
     )
@@ -340,13 +325,13 @@ def scan_conjecture3(
     _guard_exponent(n_max.bit_length() - 2, budget)
     orders = mixed_size_orders(n_max)
     measured = [o[0] for o in orders]
-    _guard(1, measured, budget)  # CG_n_max, measured at the mixed orders
-    diams = catalan_graph(n_max).prefix_diameters(measured)
+    _price(0, 0, measured, budget)  # CG_n_max and PG_n_max, measured at the mixed orders
+    _, diams, pascal = _scan([], n_max, measured, 1, None)  # no sequences: CG and PG only
     report = ConjectureReport("3", {"n_max": n_max, "orders": len(orders)})
-    for (n, k, m, s), d in zip(orders, diams):
+    for (n, k, m, s), d, d_pascal in zip(orders, diams, pascal):
         want = _mixed_size(k, m, s)[1]
         report.records.append(SearchRecord(
-            n, f"catalan(k={k},m={m},s={s})", d, want, 2, _band(d, want, want)
+            n, f"catalan(k={k},m={m},s={s})", d, want, d_pascal, _band(d, want, want)
         ))
     return report
 
@@ -358,7 +343,7 @@ def reproduce_counterexamples(n_max: int = 100) -> list[tuple[int, int, int]]:
     exceeds the Catalan diameter, for 4 <= n <= n_max: scan 1's upper
     violations on that family."""
     family = [counterexample_family(max(n_max - 1, 16)).to_bitstring()]
-    records, _ = _scan(family, n_max, range(4, n_max + 1), 1, _conjecture1)
+    records, *_ = _scan(family, n_max, range(4, n_max + 1), 1, _conjecture1)
     return [(r.n, r.diam_catalan, r.diam) for r in records if r.verdict == UPPER]
 
 
@@ -388,7 +373,7 @@ def _reproduce_table(target: str) -> TableReproduction:
 
     order, head = {"table1": (8, ""), "table2": (16, "111111")}[target]
     names = [s for s in _io_space(_io_length(order), [order], DEFAULT_BUDGET) if s.startswith(head)]
-    records, _ = _scan(names, order, [order], 1, _conjecture1)
+    records, *_ = _scan(names, order, [order], 1, _conjecture1)
     printed_by_seq: dict[str, list[int]] = {}
     for seq, diam in getattr(golden, f"printed_{target}")():
         printed_by_seq.setdefault(seq, []).append(diam)

@@ -16,9 +16,8 @@ from riordangraphs.analysis import (
 from riordangraphs.errors import LengthError, PatternError, UsageError
 from riordangraphs.riordan import ASequence, io_pattern_extend
 from riordangraphs.rgraph import Graph, build_bell_aseq, catalan_graph
-from riordangraphs.search import enumerate_io_aseqs
 
-from oracles import random_io_bits
+from oracles import io_bit_tuples, io_value_bits, random_io_bits
 
 
 def aseq_ones(length):
@@ -52,10 +51,8 @@ def test_structural_catalan_and_pascal():
 
 def test_structural_diam2_at_power_plus_two():
     # every io pattern gives diameter 2 at n = 2^3 + 2
-    from riordangraphs.search import enumerate_io_aseqs
-
-    for a in enumerate_io_aseqs(9):
-        assert build_bell_aseq(a, 10).diameter() == 2
+    for bits in io_bit_tuples(9):
+        assert build_bell_aseq(ASequence(bits), 10).diameter() == 2
 
 
 def test_structural_random(rng):
@@ -494,7 +491,9 @@ def test_diameter_drop_reads_the_window_its_order_needs(monkeypatch, k, lengths)
         build = lambda a, n: stub  # noqa: E731
         monkeypatch.setattr(analysis, "build_bell_aseq", build)
     for length in lengths:
-        for a in enumerate_io_aseqs(length):
+        # each free-bit value's pattern, as io_bit_tuples would walk 2^31 tuples at length 31
+        for value in range(1 << (length - 1) // 2):
+            a = ASequence(io_value_bits(value, length))
             report = verify_diameter_drop(a, k)
             assert (report.verdict, report.notes) == diameter_drop_reference(a, k, build), a
 
@@ -562,10 +561,21 @@ def test_claim_order_refuses_an_unknown_claim(claim, params):
 def test_catalan_diameters_refused_by_its_exponent():
     from riordangraphs.errors import ScaleError
 
-    assert len(analysis.claim_order("catalan-diameters", k_max=31)) == 62
+    # below 2^32 the exponent passes and the price refuses the formed orders
+    with pytest.raises(ScaleError, match="^estimate 12297829373883099851 vertex-visits "):
+        analysis.claim_order("catalan-diameters", k_max=31)
     for k_max in (32, 10**6):
         with pytest.raises(ScaleError, match=f"^estimate over 2\\^{2 * k_max} "):
             verify_catalan_diameters(k_max)
+
+
+def test_library_verifiers_are_priced_before_building(monkeypatch):
+    from riordangraphs.errors import ScaleError
+
+    monkeypatch.setattr(analysis, "build_bell_aseq", lambda a, n: pytest.fail("built"))
+    # orders 1..669 are 100,029,995 visits, past the default budget of 10^8
+    with pytest.raises(ScaleError, match="^estimate 100029995 vertex-visits exceeds budget "):
+        verify_structural(aseq_ones(668), 669)
 
 
 def test_catalan_diameters_builds_one_catalan_graph(capsys, monkeypatch):

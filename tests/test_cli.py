@@ -406,7 +406,7 @@ def test_refusals_allocate_under_a_megabyte(capsys, argv):
     ],
 )
 def test_commands_price_the_orders_they_measure(capsys, monkeypatch, argv, orders):
-    from riordangraphs import cli
+    from riordangraphs import analysis, cli
     from riordangraphs.errors import DEFAULT_BUDGET, ScaleError
 
     charged = []
@@ -415,10 +415,22 @@ def test_commands_price_the_orders_they_measure(capsys, monkeypatch, argv, order
         charged.append((graphs, list(priced), budget))
         raise ScaleError("priced")
 
+    # graph and metric are priced in the CLI, a verifier's orders in claim_order
     monkeypatch.setattr(cli, "_guard", guard)
+    monkeypatch.setattr(analysis, "_guard", guard)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", "error: priced\n")
     assert charged == [(1, orders, DEFAULT_BUDGET)]
+
+
+def test_clique_cap_refused_before_the_build(capsys, monkeypatch):
+    from riordangraphs import cli
+
+    for builder in ("build", "build_bell_aseq", "catalan_graph", "pascal_graph"):
+        monkeypatch.setattr(cli, builder, lambda *args: pytest.fail("built"))
+    assert run(capsys, "metric", "--family", "catalan", "-n", "65", "clique") == (
+        2, "", "error: exact clique search capped at order 64, graph has 65\n"
+    )
 
 
 def test_price_boundary():

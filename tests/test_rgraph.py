@@ -33,7 +33,7 @@ from riordangraphs.rgraph import (
     reverse_formula,
 )
 
-from riordangraphs.search import counterexample_family, enumerate_io_aseqs
+from riordangraphs.search import counterexample_family
 
 from oracles import (
     Disconnected,
@@ -147,7 +147,9 @@ def test_build_equals_literal_entries(n, rnd):
 def test_construction_against_per_bit_loops():
     # every io graph of order 2^k for k <= 4, and a seeded sample of 2,048
     # of the 32,768 at k = 5
-    cases = [(1 << k, a) for k in range(1, 5) for a in enumerate_io_aseqs(max((1 << k) - 1, 2))]
+    cases = [
+        (1 << k, ASequence(bits)) for k in range(1, 5) for bits in io_bit_tuples(max((1 << k) - 1, 2))
+    ]
     cases += [(32, ASequence(bits)) for bits in k5_sample(0x7A5)]
     for n, a in cases:
         G = build_bell_aseq(a, n)
@@ -259,9 +261,9 @@ def test_distance_kernel_against_oracle_on_io_spaces():
     # every io graph of the k <= 4 spaces, against an independently built graph
     for k in range(1, 5):
         n = 1 << k
-        for a in enumerate_io_aseqs(max(n - 1, 2)):
-            G = build_bell_aseq(a, n)
-            adj = bell_graph_adj(a.bits, n)
+        for bits in io_bit_tuples(max(n - 1, 2)):
+            G = build_bell_aseq(ASequence(bits), n)
+            adj = bell_graph_adj(bits, n)
             diam = diameter_oracle(adj)
             pairs = set()
             for u in range(1, n + 1):

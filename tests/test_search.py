@@ -11,7 +11,6 @@ from riordangraphs.search import (
     ConjectureReport,
     SearchRecord,
     counterexample_family,
-    enumerate_io_aseqs,
     mixed_size_orders,
     reproduce_counterexamples,
     reproduce_tables,
@@ -34,39 +33,35 @@ from oracles import (
 
 # -- enumeration ------------------------------------------------------------
 
+def io_space(length):
+    """Every io pattern of `length` by name, from the scans' one enumeration."""
+    return search._io_space(length, [length + 1], 10**12)
+
+
 def test_enumerate_len7():
-    seqs = [a.to_bitstring() for a in enumerate_io_aseqs(7)]
+    seqs = io_space(7)
     assert len(seqs) == 8
     assert seqs[0] == "1100000" and seqs[-1] == "1111111"
     assert seqs == sorted(seqs)  # free bits counted lexicographically
 
 
 def test_enumerate_len2_and_len6():
-    assert [a.to_bitstring() for a in enumerate_io_aseqs(2)] == ["11"]
-    assert len(list(enumerate_io_aseqs(6))) == 4
-    with pytest.raises(UsageError):
-        list(enumerate_io_aseqs(1))
-
-
-def test_enumerate_refuses_a_short_length_at_the_call():
-    with pytest.raises(UsageError, match="length >= 2, got 1"):
-        enumerate_io_aseqs(1)  # not iterated
+    assert io_space(2) == ["11"]
+    assert len(io_space(6)) == 4
 
 
 def test_free_bit_count_is_the_enumerated_count():
     for length in range(2, 41):
         assert _io_frees(length) == len(range(2, length, 2))  # the slots a2, a4, ...
-    # every length to 32 (2^15 patterns at 31 and 32); to 40 it takes about 17 s
+    # every length to 32 (2^15 patterns at 31 and 32)
     for length in range(2, 33):
-        count, last = 0, ()
-        for a in enumerate_io_aseqs(length):
-            assert a.bits > last  # strictly increasing, so distinct
-            count, last = count + 1, a.bits
-        assert count == 1 << _io_frees(length)
+        names = io_space(length)
+        assert names == sorted(set(names))  # strictly increasing, so distinct
+        assert len(names) == 1 << _io_frees(length)
 
 
 def test_enumerate_len15_first_six_ones():
-    seqs = [a for a in enumerate_io_aseqs(15) if a.bits[:6] == (1,) * 6]
+    seqs = [ASequence(s) for s in io_space(15) if s.startswith("111111")]
     assert len(seqs) == 32
     assert all(is_io_pattern(a) for a in seqs)
 
@@ -74,18 +69,12 @@ def test_enumerate_len15_first_six_ones():
 def test_enumeration_and_sample_against_the_loops():
     for length in range(2, 13):
         want = [io_value_bits(value, length) for value in range(1 << ((length - 1) // 2))]
-        assert [a.bits for a in enumerate_io_aseqs(length)] == want == io_bit_tuples(length)
+        assert [ASequence(s).bits for s in io_space(length)] == want == io_bit_tuples(length)
     names = search._io_space(63, [64], 10**12, sample=100, seed=3)
     sample = [ASequence(name).bits for name in names]
     values = sorted(int("".join(map(str, bits[2::2])), 2) for bits in sample)
     assert len(values) == 100 and values[-1] == (1 << 31) - 1  # all-ones among them
     assert sample == [io_value_bits(value, 63) for value in values]
-
-
-def test_enumeration_names_the_io_space():
-    for length in range(2, 12):
-        names = search._io_space(length, [length + 1], 10**12)
-        assert [a.to_bitstring() for a in enumerate_io_aseqs(length)] == names
 
 
 def test_counterexample_family():
@@ -415,10 +404,14 @@ def test_record_types_keep_their_api():
     assert DistanceReport(1, (0, None)).distance(2) is None
 
 
-def test_scan2_csv_shape():
-    lines = scan_conjecture2(3).to_csv_lines()
+def test_scan2_csv_shape(capsys):
+    from riordangraphs.cli import main
+
+    assert main(["scan", "2", "-k", "3", "--jobs", "1"]) == 1  # 1111110 attains k too
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == CSV_HEADER
     assert lines[1].startswith("8,1100000,2,3,2,")
+    assert lines[1:] == [r.to_csv() for r in scan_conjecture2(3).records]
 
 
 # -- conjecture 3 ---------------------------------------------------------------
@@ -548,6 +541,19 @@ def test_scan2_rows_and_extras_against_oracle():
     attainers = [name for _, name, d, *_ in want if d == 4]
     assert report.extras["attainers"] == attainers
     assert report.extras["all_ones_attains"] == ("1" * 15 in attainers)
+
+
+def test_scan3_rows_against_oracle(monkeypatch):
+    report = scan_conjecture3(64)
+    assert len(report.records) == 10
+    assert [(r.n, r.diam, r.diam_pascal) for r in report.records] == [
+        (r.n, _oracle_catalan(r.n), _oracle_pascal(r.n)) for r in report.records
+    ]
+    # diam_pascal is measured on PG_n: a Catalan graph in its place shows in the column
+    monkeypatch.setattr(search, "pascal_graph", catalan_graph)
+    assert [r.diam_pascal for r in scan_conjecture3(64).records] == [
+        r.diam for r in report.records
+    ]
 
 
 def test_scan1_no_sequences_keeps_the_pascal_reference():

@@ -115,6 +115,7 @@ REFUSALS = [
     "scan 2 -k 5 --budget 1000 --jobs 1",
     "scan 3 --nmax 100000000000000000000",
     "scan 3 --nmax 1024 --budget 1000",
+    "scan 3 --nmax 1793",  # CG and PG priced at the mixed orders: the first refused
 ]
 
 # one bad input per subcommand, and a flag of another claim or conjecture;
