@@ -159,9 +159,9 @@ class Graph:
 
     def distance(self, u: int, v: int) -> Optional[int]:
         """Shortest-path hop count, or None when v is unreachable from u."""
-        report = self.distances(u)
+        self._check_vertex(u)
         self._check_vertex(v)
-        return report.distance(v)
+        return self.distances(u).distance(v)
 
     def eccentricity(self, v: int) -> Optional[int]:
         """Greatest distance from v, or None when some vertex is unreachable."""

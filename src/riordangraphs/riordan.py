@@ -221,8 +221,10 @@ def _transpose(masks: Sequence[int], width: int) -> list[int]:
     out = [0] * width
     for j, mask in enumerate(masks):
         bit = 1 << j
-        for i in _iter_bits(mask):
-            out[i] |= bit
+        while mask:
+            low = mask & -mask
+            out[low.bit_length() - 1] |= bit
+            mask ^= low
     return out
 
 

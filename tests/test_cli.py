@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,16 @@ import pytest
 
 from riordangraphs.cli import main
 from riordangraphs.golden import printed_cg6, printed_cg8_reverse
+
+from oracles import (
+    bfs_dists,
+    brute_clique,
+    column_scatter_rows,
+    diameter_oracle,
+    io_coloring_oracle,
+    io_violation_oracle,
+    triangle_mirror_rows,
+)
 
 
 def run(capsys, *argv):
@@ -86,6 +97,55 @@ def test_metric_clique_colors_universal(capsys):
     assert code == 0 and out.splitlines()[0] == "7"
     code, out, _ = run(capsys, "metric", "--family", "catalan", "-n", "6", "universal")
     assert code == 0 and out.strip() == "3 5"
+
+
+def _metric_oracle(adj, metric, *labels):
+    """(exit code, stdout, stderr) of `metric ... <metric> <labels>` on the
+    dict-of-sets graph `adj`, recomputed from the oracles."""
+    n = len(adj)
+    if metric == "diameter":
+        missed = [w for w in adj if w not in bfs_dists(adj, 1)]
+        if missed:
+            return 1, "", f"error: graph is disconnected: no path between vertices 1 and {missed[0]}\n"
+        return 0, f"{diameter_oracle(adj)}\n", ""
+    if metric == "distance":
+        bad = [x for x in labels if not 1 <= x <= n]
+        if bad:
+            return 2, "", f"error: vertex {bad[0]} outside 1..{n}\n"
+        d = bfs_dists(adj, labels[0]).get(labels[1], "unreachable")
+        return 0, f"{d}\n", ""
+    if metric == "clique":
+        return 0, f"{brute_clique(adj)}\n", ""
+    if metric == "colors":
+        colors = io_coloring_oracle(n)
+        violation = io_violation_oracle(adj, colors)
+        if violation:
+            v, u, c = violation
+            return 1, "", f"error: vertices {v} and {u} are adjacent but both have color {c}\n"
+        lines = [str(len(set(colors)))]
+        for c in sorted(set(colors)):
+            lines.append(f"color {c}: " + " ".join(str(v) for v in adj if colors[v - 1] == c))
+        return 0, "\n".join(lines) + "\n", ""
+    universal = [v for v in adj if adj[v] == set(adj) - {v}]
+    return 0, (" ".join(map(str, universal)) or "none") + "\n", ""
+
+
+def test_metric_g_against_oracles(capsys):
+    # 400 random --g literals, 80 for each metric: the Bell pair (g, zg) built
+    # by per-bit column scatter and triangle mirror, the metric's exit code,
+    # stdout and stderr recomputed on dict-of-sets
+    rng = random.Random(0xD1FF)
+    metrics = ("diameter", "distance", "clique", "colors", "universal")
+    for case in range(400):
+        literal = "".join(rng.choice("01") for _ in range(rng.randint(1, 16)))
+        n = rng.randint(1, 14)
+        g = int(literal[::-1], 2)
+        rows = triangle_mirror_rows(column_scatter_rows(g, g << 1, n - 1))
+        adj = {v: {w + 1 for w in range(n) if (rows[v - 1] >> w) & 1} for v in range(1, n + 1)}
+        metric = metrics[case % 5]
+        labels = [rng.randint(0, n + 1), rng.randint(0, n + 1)] if metric == "distance" else []
+        argv = ["metric", "--g", literal, "-n", str(n), metric, *map(str, labels)]
+        assert run(capsys, *argv) == _metric_oracle(adj, metric, *labels), argv
 
 
 def test_verify_pass_cases(capsys):

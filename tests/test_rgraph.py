@@ -220,6 +220,23 @@ def test_distance_examples():
         CG16.distance(1, 17)
 
 
+def test_distance_checks_both_labels_before_sweeping(monkeypatch):
+    CG16 = catalan_graph(16)
+    sources = []
+    kernel = Graph._sweep
+
+    def counted(self, s):
+        sources.append(s)
+        return kernel(self, s)
+
+    monkeypatch.setattr(Graph, "_sweep", counted)
+    for u, v, bad in ((1, 17, 17), (1, 0, 0), (0, 17, 0), (17, 0, 17)):
+        with pytest.raises(UsageError, match=rf"^vertex {bad} outside 1\.\.16$"):
+            CG16.distance(u, v)
+    assert sources == []
+    assert CG16.distance(1, 16) == 4 and sources == [0]
+
+
 def test_distances_report(rng):
     G = io_graph(random_io_bits(rng, 31), 32)
     oracle = bfs_dists(adj_sets(G), 5)
