@@ -159,9 +159,9 @@ class Graph:
 
     def distance(self, u: int, v: int) -> Optional[int]:
         """Shortest-path hop count, or None when v is unreachable from u."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return self.distances(u).distance(v)
+        s = self._check_vertex(u)
+        bit = 1 << self._check_vertex(v)
+        return next((d for d, level in enumerate(self._sweep(s)[0]) if level & bit), None)
 
     def eccentricity(self, v: int) -> Optional[int]:
         """Greatest distance from v, or None when some vertex is unreachable."""

@@ -4,10 +4,11 @@ Scans are deterministic: records come out sorted by (order, aseq text)
 no matter how many worker processes ran; for io patterns of one length
 that is the lexicographic order of their free bits.  Scanned sequences
 pass `riordan.require_io_pattern`.  `_scan` is the one path from
-A-sequences to diameter rows: the scans and the reproductions of the
-paper's tables and counterexample list read their rows off it.  A scanned sequence travels as its name, the
-records' `aseq` text: `_io_space` forms the names from free-bit values,
-and its `ASequence` lives only while `_scan` builds its graph.  The
+A-sequences to diameter rows: the scans and the reproduction of the
+paper's tables read their rows off it, the counterexample list off
+scan 1.  A scanned sequence travels as its name, the records' `aseq`
+text: `_io_space` forms the names from free-bit values, and its
+`ASequence` lives only while `_scan` builds its graph.  The
 one price, `_price` (graphs x sum of n^2 BFS vertex visits, iFUB's
 worst case, the two reference graphs counted; then the A-sequence
 entries that the records hold), refuses a scan before anything is
@@ -153,14 +154,13 @@ def _ignore_sigint() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _sequence_diameters(name: str, n_max: int, orders: Sequence[int]) -> tuple[int, ...]:
+def _sequence_diameters(name: str, orders: Sequence[int]) -> tuple[int, ...]:
     # module level so that it pickles for the pool
-    return build_bell_aseq(ASequence(name), n_max).prefix_diameters(orders)
+    return build_bell_aseq(ASequence(name), max(orders)).prefix_diameters(orders)
 
 
 def _scan(
     names: Sequence[str],
-    n_max: int,
     orders: Sequence[int],
     jobs: int,
     verdict: Callable[[str, int, int], str],
@@ -168,15 +168,16 @@ def _scan(
     """The one path from A-sequences, given by their `names`, to diameter
     rows: one record per (order, sequence), built in (n, aseq) order from the
     ascending `orders` and the sorted names, and the Catalan and Pascal
-    reference diameters at `orders`.  The references are the prefixes of CG
-    and PG of order `n_max`; the Bell diameters run on min(jobs, cpu count,
+    reference diameters at `orders`.  Each graph is built at the largest of
+    `orders`, CG and PG too; the Bell diameters run on min(jobs, cpu count,
     len(names), visits // POOL_MIN_VISITS) processes, each given one
     contiguous run of the sorted names, with visits the Bell graphs' share of
     the scan's price; `verdict(aseq, diam, diam_catalan)` rates each record."""
     names = sorted(names)
-    ref_catalan = catalan_graph(n_max).prefix_diameters(orders)
-    ref_pascal = pascal_graph(n_max).prefix_diameters(orders)
-    work = partial(_sequence_diameters, n_max=n_max, orders=orders)
+    n = max(orders, default=1)
+    ref_catalan = catalan_graph(n).prefix_diameters(orders)
+    ref_pascal = pascal_graph(n).prefix_diameters(orders)
+    work = partial(_sequence_diameters, orders=orders)
     visits = len(names) * _square_sum(orders)
     procs = min(jobs, os.cpu_count() or 1, len(names), visits // POOL_MIN_VISITS)
     if procs <= 1:
@@ -233,12 +234,12 @@ def scan_conjecture1(
         names = _io_space(a_len, orders, budget)
     else:
         sequences = list(sequences)
-        _price(len(sequences), sum(map(len, sequences)), orders, budget)
+        price_conjecture1(n_max, list(map(len, sequences)), budget)
         for a in sequences:
             require_io_pattern(a, n_max)
         names = [a.to_bitstring() for a in sequences]
 
-    records, _, ref_pascal = _scan(names, n_max, orders, jobs, _conjecture1)
+    records, _, ref_pascal = _scan(names, orders, jobs, _conjecture1)
     off_two = {r.aseq for r in records if r.diam != 2}
     return ConjectureReport(
         "1",
@@ -282,7 +283,7 @@ def scan_conjecture2(
     names = _io_space(length, [n], budget, sample, seed)
     ones = "1" * length
     records, *_ = _scan(
-        names, n, [n], jobs,
+        names, [n], jobs,
         lambda name, d, _: UPPER if d == k and name != ones else WITHIN,
     )
     attainers = [r.aseq for r in records if r.diam == k]
@@ -325,8 +326,8 @@ def scan_conjecture3(
     _guard_exponent(n_max.bit_length() - 2, budget)
     orders = mixed_size_orders(n_max)
     measured = [o[0] for o in orders]
-    _price(0, 0, measured, budget)  # CG_n_max and PG_n_max, measured at the mixed orders
-    _, diams, pascal = _scan([], n_max, measured, 1, None)  # no sequences: CG and PG only
+    _price(0, 0, measured, budget)  # CG and PG at the largest mixed order, measured at each
+    _, diams, pascal = _scan([], measured, 1, None)  # no sequences: CG and PG only
     report = ConjectureReport("3", {"n_max": n_max, "orders": len(orders)})
     for (n, k, m, s), d, d_pascal in zip(orders, diams, pascal):
         want = _mixed_size(k, m, s)[1]
@@ -341,10 +342,9 @@ def scan_conjecture3(
 def reproduce_counterexamples(n_max: int = 100) -> list[tuple[int, int, int]]:
     """Rows (n, diam(CG_n), diam(G_n)) where the sixteen-ones family
     exceeds the Catalan diameter, for 4 <= n <= n_max: scan 1's upper
-    violations on that family."""
-    family = [counterexample_family(max(n_max - 1, 16)).to_bitstring()]
-    records, *_ = _scan(family, n_max, range(4, n_max + 1), 1, _conjecture1)
-    return [(r.n, r.diam_catalan, r.diam) for r in records if r.verdict == UPPER]
+    violations on that family, priced and gated as scan 1 is."""
+    report = scan_conjecture1(n_max, sequences=[counterexample_family(max(n_max - 1, 16))])
+    return [(r.n, r.diam_catalan, r.diam) for r in report.records if r.verdict == UPPER]
 
 
 class TableRow(NamedTuple):
@@ -373,7 +373,7 @@ def _reproduce_table(target: str) -> TableReproduction:
 
     order, head = {"table1": (8, ""), "table2": (16, "111111")}[target]
     names = [s for s in _io_space(_io_length(order), [order], DEFAULT_BUDGET) if s.startswith(head)]
-    records, *_ = _scan(names, order, [order], 1, _conjecture1)
+    records, *_ = _scan(names, [order], 1, _conjecture1)
     printed_by_seq: dict[str, list[int]] = {}
     for seq, diam in getattr(golden, f"printed_{target}")():
         printed_by_seq.setdefault(seq, []).append(diam)

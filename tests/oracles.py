@@ -16,7 +16,6 @@ layout.  Only the standard library is used.
 
 from collections import deque
 from itertools import combinations, product
-import math
 
 
 # -- series ---------------------------------------------------------------
@@ -29,17 +28,6 @@ def poly_mul_mod2(a, b, prec):
             continue
         for j, bj in enumerate(b[: prec - i]):
             out[i + j] ^= bj
-    return out
-
-
-def poly_mul_ints(a, b, prec):
-    """Exact integer Cauchy product on coefficient lists."""
-    out = [0] * prec
-    for i, ai in enumerate(a[:prec]):
-        if not ai:
-            continue
-        for j, bj in enumerate(b[: prec - i]):
-            out[i + j] += ai * bj
     return out
 
 
@@ -103,18 +91,6 @@ def bell_triangle_lists(bits, n):
             new[j + 1] = v
         rows.append(new)
     return rows
-
-
-def pascal_entry(i, j):
-    return math.comb(i, j) & 1
-
-
-def catalan_bell_entry_ints(i, j, cat):
-    """[z^i] C * (zC)^j as an exact integer, from exact Catalan numbers."""
-    col = list(cat)
-    for _ in range(j):
-        col = poly_mul_ints(col, [0] + cat, len(cat))
-    return col[i]
 
 
 # -- per-bit row and column moves ---------------------------------------------

@@ -6,15 +6,20 @@ from pathlib import Path
 import pytest
 
 from riordangraphs.cli import main
-from riordangraphs.golden import printed_cg6, printed_cg8_reverse
+from riordangraphs.golden import printed_cg6, printed_cg8_reverse, printed_counterexamples
 
 from oracles import (
+    bell_graph_adj,
     bfs_dists,
     brute_clique,
+    catalan_ints,
     column_scatter_rows,
     diameter_oracle,
+    io_bit_tuples,
     io_coloring_oracle,
     io_violation_oracle,
+    is_io_pattern_loop,
+    random_io_bits,
     triangle_mirror_rows,
 )
 
@@ -146,6 +151,107 @@ def test_metric_g_against_oracles(capsys):
         labels = [rng.randint(0, n + 1), rng.randint(0, n + 1)] if metric == "distance" else []
         argv = ["metric", "--g", literal, "-n", str(n), metric, *map(str, labels)]
         assert run(capsys, *argv) == _metric_oracle(adj, metric, *labels), argv
+
+
+class _ScanOracle:
+    """Scan rows recomputed on dict-of-sets graphs: Bell graphs by the literal
+    A-sequence recurrence, CG_n and PG_n by per-bit column scatter and
+    triangle mirror of (C, zC) and (1/(1-z), z/(1-z)); each diameter by
+    all-sources deque BFS, each graph built at its own order."""
+
+    def __init__(self):
+        self.diam = {}
+
+    def _pair_diameter(self, g, n):
+        rows = triangle_mirror_rows(column_scatter_rows(g, g << 1, n - 1))
+        return diameter_oracle({v: {w + 1 for w in range(n) if (rows[v - 1] >> w) & 1}
+                                for v in range(1, n + 1)})
+
+    def references(self, n):
+        if ("CG", n) not in self.diam:
+            catalan = sum((c & 1) << i for i, c in enumerate(catalan_ints(n)))
+            self.diam["CG", n] = self._pair_diameter(catalan, n)
+            self.diam["PG", n] = self._pair_diameter((1 << n) - 1, n)
+        return self.diam["CG", n], self.diam["PG", n]
+
+    def bell(self, name, n):
+        if (name, n) not in self.diam:
+            self.diam[name, n] = diameter_oracle(bell_graph_adj(tuple(map(int, name)), n))
+        return self.diam[name, n]
+
+    def row(self, n, name, band):
+        d = self.bell(name, n)
+        dc, dp = self.references(n)
+        return f"{n},{name},{d},{dc},{dp},{band(name, d, dc)}"
+
+
+def _extremal(k):
+    """Scan 2's verdict at order 2^k: diameter k only for the all-ones pattern."""
+    ones = "1" * ((1 << k) - 1)
+    return lambda name, d, dc: "upper-violation" if d == k and name != ones else "within-bounds"
+
+
+def _scan_output(conjecture, rows, violations_only=False):
+    """(exit code, stdout, stderr) of a scan whose records are `rows`."""
+    bad = [r for r in rows if not r.endswith("within-bounds")]
+    shown = bad if violations_only else rows
+    stdout = "".join(f"{line}\n" for line in ["n,aseq,diam,diam_catalan,diam_pascal,verdict", *shown])
+    stderr = f"# conjecture {conjecture}: {len(rows)} records, {len(bad)} violations\n"
+    return int(bool(bad)), stdout, stderr
+
+
+def test_scan_values_against_oracles(capsys):
+    # seeded scan 1 and scan 2 command lines and the counterexample
+    # reproduction, every field, row order, summary and exit code recomputed
+    rng = random.Random(0x5CA2)
+    oracle = _ScanOracle()
+
+    def conjecture1(name, d, dc):  # 2 = diam(PG_n) <= diam(G_n) <= diam(CG_n)
+        return "upper-violation" if d > dc else "lower-violation" if d < 2 else "within-bounds"
+
+    cases = []
+    for case in range(140):
+        literal = "".join(map(str, random_io_bits(rng, 2 * rng.randint(1, 11))))
+        n_max = rng.randint(4, 24)
+        name = literal.ljust(n_max - 1, "0")
+        rows = [oracle.row(n, name, conjecture1) for n in range(4, n_max + 1)]
+        argv = ["scan", "1", "--aseq", literal, "--nmax", str(n_max), "--jobs", "1"]
+        only = case % 2 == 1
+        cases.append((argv + ["--violations-only"] * only, _scan_output("1", rows, only)))
+    for k in (2, 3, 4):
+        n = 1 << k
+        names = sorted("".join(map(str, bits)) for bits in io_bit_tuples(n - 1))
+        rows = [oracle.row(n, name, _extremal(k)) for name in names]
+        cases.append((["scan", "2", "-k", str(k), "--jobs", "1"], _scan_output("2", rows)))
+    for argv, want in cases:
+        assert run(capsys, *argv) == want, argv
+
+    # a sample is S distinct io patterns of length 31, all-ones among them, in order
+    ones = "1" * 31
+    for _ in range(6):
+        sample, seed = rng.randint(1, 40), rng.randint(0, 10**6)
+        argv = ["scan", "2", "-k", "5", "--sample", str(sample), "--seed", str(seed), "--jobs", "1"]
+        code, out, err = run(capsys, *argv)
+        names = [line.split(",")[1] for line in out.splitlines()[1:]]
+        assert names == sorted(set(names)) and len(names) == sample and ones in names, argv
+        assert all(len(s) == 31 and is_io_pattern_loop(tuple(map(int, s))) for s in names), argv
+        rows = [oracle.row(32, name, _extremal(5)) for name in names]
+        assert (code, out, err) == _scan_output("2", rows), argv
+
+    # the sixteen-ones family's rows above the Catalan diameter, orders 4..100,
+    # on the leading blocks of one order-100 graph
+    family = bell_graph_adj((1,) * 16 + (0,) * 83, 100)
+    want = []
+    for n in range(4, 101):
+        d = diameter_oracle({v: {w for w in family[v] if w <= n} for v in range(1, n + 1)})
+        dc = oracle.references(n)[0]
+        if d > dc:
+            want.append((n, dc, d))
+    assert want == printed_counterexamples()
+    stdout = "".join(f"{n},{dc},{d}\n" for n, dc, d in want)
+    assert run(capsys, "reproduce", "counterexamples") == (
+        0, "n,diam_catalan,diam_g\n" + stdout, f"# match against printed table ({len(want)} rows)\n"
+    )
 
 
 def test_verify_pass_cases(capsys):

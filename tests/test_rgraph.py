@@ -237,6 +237,31 @@ def test_distance_checks_both_labels_before_sweeping(monkeypatch):
     assert CG16.distance(1, 16) == 4 and sources == [0]
 
 
+def test_distance_is_one_sweep(monkeypatch, rng):
+    def unused(self, source):
+        raise AssertionError("distance went through distances")
+
+    sweeps = []
+    kernel = Graph._sweep
+
+    def counted(self, s):
+        sweeps.append(s)
+        return kernel(self, s)
+
+    G = io_graph(random_io_bits(rng, 23), 24)
+    split = Graph(4, [0b0010, 0b0001, 0b1000, 0b0100])  # {1, 2} and {3, 4}
+    monkeypatch.setattr(Graph, "distances", unused)
+    monkeypatch.setattr(Graph, "_sweep", counted)
+    for graph in (G, split):
+        adj = adj_sets(graph)
+        for u in range(1, graph.n + 1):
+            oracle = bfs_dists(adj, u)
+            for v in range(1, graph.n + 1):
+                sweeps.clear()
+                assert graph.distance(u, v) == oracle.get(v)
+                assert sweeps == [u - 1]
+
+
 def test_distances_report(rng):
     G = io_graph(random_io_bits(rng, 31), 32)
     oracle = bfs_dists(adj_sets(G), 5)

@@ -449,7 +449,7 @@ def test_scan1_verdicts_at_the_band_edges(monkeypatch):
         4: ["upper-violation"] * 5,
     }
     for d, verdicts in want.items():
-        monkeypatch.setattr(search, "_sequence_diameters", lambda a, n_max, orders: (d,) * len(orders))
+        monkeypatch.setattr(search, "_sequence_diameters", lambda a, orders: (d,) * len(orders))
         report = scan_conjecture1(8, sequences=[ASequence("1111111")])
         got = [(r.n, r.diam, r.verdict) for r in report.records]
         assert got == list(zip(range(4, 9), [d] * 5, verdicts))
@@ -577,7 +577,8 @@ def test_reproductions_read_off_the_scans():
     assert reproduce_counterexamples() == [
         (r.n, r.diam_catalan, r.diam) for r in scan1.violations if r.verdict == "upper-violation"
     ]
-    assert reproduce_counterexamples(3) == []
+    with pytest.raises(UsageError, match="n_max must be at least 4"):  # scan 1's own refusal
+        reproduce_counterexamples(3)
     t8, t16 = reproduce_tables()
     assert [(r.aseq, r.diam) for r in t8.rows] == [
         (r.aseq, r.diam) for r in scan_conjecture2(3).records
@@ -585,6 +586,37 @@ def test_reproductions_read_off_the_scans():
     assert [(r.aseq, r.diam) for r in t16.rows] == [
         (r.aseq, r.diam) for r in scan_conjecture2(4).records if r.aseq.startswith("111111")
     ]
+
+
+def test_reproduce_counterexamples_is_priced_as_scan_1(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("built before the price")
+
+    for name in ("build_bell_aseq", "catalan_graph", "pascal_graph"):
+        monkeypatch.setattr(search, name, unbuilt)
+    with pytest.raises(ScaleError, match="estimate 216540258 vertex-visits exceeds budget 100000000"):
+        reproduce_counterexamples(600)
+    with pytest.raises(ScaleError, match="estimate 216540258 "):
+        scan_conjecture1(600, sequences=[counterexample_family(599)])
+
+
+def test_scans_build_at_their_largest_measured_order(monkeypatch):
+    built = []
+
+    def recorded(builder):
+        def build(*args):
+            built.append((builder.__name__, args[-1]))
+            return builder(*args)
+        return build
+
+    for builder in (search.build_bell_aseq, search.catalan_graph, search.pascal_graph):
+        monkeypatch.setattr(search, builder.__name__, recorded(builder))
+    assert max(n for n, *_ in mixed_size_orders(64)) == 63
+    scan_conjecture3(64)
+    assert built == [("catalan_graph", 63), ("pascal_graph", 63)]
+    built.clear()
+    scan_conjecture1(10, sequences=[ASequence("111111111")])
+    assert built == [("catalan_graph", 10), ("pascal_graph", 10), ("build_bell_aseq", 10)]
 
 
 def test_reproduce_tables_builds_only_the_tables_asked_for(monkeypatch):

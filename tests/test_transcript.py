@@ -65,6 +65,7 @@ SCANS = [
     "scan 1 --alen 23 --nmax 24 --violations-only --jobs 1",
     "scan 1 --aseq-ones 8 --nmax 100 --violations-only --jobs 1",
     f"scan 1 --aseq {'1' * 8}{'0' * 8}{'1' * 8}{'0' * 15} --nmax 40 --violations-only --jobs 1",
+    "scan 2 -k 5 --jobs 1",  # the benchmark's exhaustive-k5 workload
 ]
 
 # the block shape whose first zero is the order's trailing free slot
