@@ -74,15 +74,18 @@ VERIFY = [
 ]
 
 # every format at the orders around the byte padding of a row, and each
-# descriptor once
+# descriptor once; then graphs past one 256-row transpose tile, with a
+# ragged last tile at orders 300, 513 and 1025
 GRAPHS = [
     f"graph --family catalan -n {n} --format {fmt}"
-    for n in (1, 2, 7, 8)
+    for n in (1, 2, 7, 8, 1024)
     for fmt in ("matrix", "dot", "csv", "table")
 ] + [f"graph --family catalan -n {n} --reverse" for n in (1, 2, 7)] + [
     "graph --family pascal -n 7 --format table",
     "graph --g 1101 -n 8",
     "graph --aseq 1111110011 -n 8 --reverse",
+    "graph --family pascal -n 300 --format csv",
+    "graph --family catalan -n 513 --reverse",
 ]
 
 METRICS = [
@@ -98,6 +101,7 @@ METRICS = [
     "metric --g 011 -n 8 distance 1 6",
     # an improper io colouring is a finding, as a disconnection is
     "metric --g 011 -n 8 colors",
+    "metric --family catalan -n 1025 colors",
 ]
 
 # one refusal per price path, before anything is built
