@@ -14,6 +14,7 @@ A-sequence literals are bit strings with a_0 first, e.g. "1100000".
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import accumulate, islice, repeat
 from typing import Iterable, Sequence, Union
 
@@ -214,17 +215,66 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
+# the widest square tile packed into one int, 8 KB: tiles keep the
+# transpose's memory near the matrix's own, where one int for the whole
+# matrix would need log2 N masks of N^2 bits each
+_TILE = 256
+
+
+@cache  # the one table of masks, filled on first use: a launch builds only its widths
+def _swap_masks(n: int) -> tuple[tuple[int, int], ...]:
+    """The log2 n delta-swaps that transpose an n x n bit tile packed with
+    row r at bit r*n, as (distance, mask) pairs.  Swap s = 2^k exchanges
+    bit k of the row with bit k of the column: its mask marks each entry
+    (r, c) with r_k = 0 and c_k = 1, which trades places with (r + s, c - s),
+    s*(n - 1) bits up.  Each mask repeats one row's byte pattern."""
+    row = n // 8
+    swaps = []
+    for k in range(n.bit_length() - 1):
+        s = 1 << k
+        if s < 8:  # the columns c with c_k = 1, as one row's bytes
+            cols = bytes([(0xAA, 0xCC, 0xF0)[k]]) * row
+        else:
+            cols = (bytes(s // 8) + b"\xff" * (s // 8)) * (n // (2 * s))
+        mask = (cols * s + bytes(row * s)) * (n // (2 * s))  # on the rows r with r_k = 0
+        swaps.append((s * (n - 1), int.from_bytes(mask, "little")))
+    return tuple(swaps)
+
+
 def _transpose(masks: Sequence[int], width: int) -> list[int]:
     """The bit matrix `masks` read by columns: bit j of out[i] is bit i of
     masks[j], for masks below 2^width.  This is the one place where bits
-    move between row and column order."""
-    out = [0] * width
-    for j, mask in enumerate(masks):
-        bit = 1 << j
-        while mask:
-            low = mask & -mask
-            out[low.bit_length() - 1] |= bit
-            mask ^= low
+    move between row and column order.
+
+    The matrix is cut into n x n tiles, n the smallest power of two >= 8
+    that covers it, at most _TILE.  Each tile is packed into one int,
+    transposed by the delta-swaps of `_swap_masks(n)` (Warren, Hacker's
+    Delight, 2nd ed., section 7-3) and cut back into rows by byte slices.
+    """
+    rows = len(masks)
+    n = min(_TILE, max(8, 1 << (max(rows, width) - 1).bit_length()))
+    step, swaps = n // 8, _swap_masks(n)  # bytes per tile row
+    size = -(-width // n) * step  # bytes per input row, whole tiles
+    packed = [mask.to_bytes(size, "little") for mask in masks]
+    out = []
+    for c in range(0, size, step):  # byte offset of the tile column of out[8c:8c + n]
+        cut = range(0, min(n, width - 8 * c) * step, step)  # those rows in a transposed tile
+        pieces = []
+        for r in range(0, rows or 1, n):  # no rows: one zero tile
+            block = packed[r:r + n]
+            if size > step:  # more than one tile column: this one's bytes of each row
+                block = [b[c:c + step] for b in block]
+            p = int.from_bytes(b"".join(block), "little")
+            if p:
+                for d, m in swaps:
+                    t = (p ^ (p >> d)) & m
+                    p ^= t ^ (t << d)
+            tile = p.to_bytes(n * step, "little")
+            pieces.append([tile[i:i + step] for i in cut])
+        if len(pieces) == 1:
+            out += [int.from_bytes(piece, "little") for piece in pieces[0]]
+        else:
+            out += [int.from_bytes(b"".join(row), "little") for row in zip(*pieces)]
     return out
 
 

@@ -126,6 +126,19 @@ def triangle_mirror_rows(tri_rows):
     return rows
 
 
+def transpose_loop(masks, width):
+    """The bit matrix `masks` read by columns, one set bit at a time: the
+    library's former transpose, an inline lowest-set-bit loop."""
+    out = [0] * width
+    for j, mask in enumerate(masks):
+        bit = 1 << j
+        while mask:
+            low = mask & -mask
+            out[low.bit_length() - 1] |= bit
+            mask ^= low
+    return out
+
+
 def induced_gather_rows(rows, idx):
     """Rows of the subgraph on the increasing 0-based vertices `idx`,
     gathered one bit at a time."""

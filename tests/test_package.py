@@ -1,6 +1,9 @@
 """The package's public names: each lower layer's `__all__`, re-exported."""
 
+import ast
 import inspect
+import sys
+from pathlib import Path
 
 import riordangraphs
 from riordangraphs import binseries, errors, riordan, rgraph
@@ -45,3 +48,20 @@ def test_earlier_exports_stay():
     assert len(EXPORTED) == 32
     assert set(EXPORTED) <= set(riordangraphs.__all__)
     assert "require_io_pattern" in riordangraphs.__all__
+
+
+def test_src_imports_only_the_standard_library():
+    # no runtime dependencies: every absolute import in the package names a
+    # standard-library module
+    paths = sorted(Path(riordangraphs.__file__).parent.glob("*.py"))
+    assert len(paths) >= 9
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in sys.stdlib_module_names, f"{path.name}: {name}"

@@ -1,5 +1,8 @@
 import math
+import random
+from functools import reduce
 from itertools import product
+from operator import and_
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -40,6 +43,7 @@ from oracles import (
     random_io_bits,
     random_unit_bits,
     series_coeffs_loop,
+    transpose_loop,
     triangle_lines_loop,
 )
 
@@ -266,21 +270,56 @@ def test_bell_matrix_against_list_recurrence(rng):
                 assert tri.entry(i, j) == oracle[i][j]
 
 
+def _random_masks(rows, width, depth, seed):
+    """`rows` masks below 2^width, each the AND of `depth` random words (all
+    ones at depth 0), so each bit is set with probability 2^-depth."""
+    rng = random.Random(seed)
+    return [reduce(and_, (rng.getrandbits(width) for _ in range(depth)), (1 << width) - 1)
+            for _ in range(rows)]
+
+
+# rows and width drawn apart, past one 256-bit tile, with sparse masks; the
+# examples sit at the tile edges, on one tile row or column, and empty
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 70).flatmap(
-    lambda w: st.tuples(st.just(w), st.lists(st.integers(0, (1 << w) - 1), max_size=70))
-))
-@example((0, []))
-@example((0, [0, 0]))
-@example((70, [(1 << 70) - 1] * 70))
-def test_transpose_is_the_per_entry_definition(case):
-    width, masks = case
+@given(st.integers(0, 600), st.integers(0, 600), st.integers(3, 8), st.integers(0, 2**32 - 1))
+@example(0, 0, 1, 0)
+@example(2, 0, 1, 0)
+@example(70, 70, 0, 0)
+@example(255, 255, 1, 0)
+@example(256, 256, 1, 0)
+@example(257, 257, 1, 0)
+@example(512, 512, 1, 0)
+@example(513, 513, 1, 0)
+@example(1, 600, 1, 0)
+@example(600, 1, 1, 0)
+@example(300, 5, 1, 0)
+def test_transpose_is_the_per_entry_definition(rows, width, depth, seed):
+    masks = _random_masks(rows, width, depth, seed)
     out = _transpose(masks, width)
     assert len(out) == width
-    assert all(0 <= col < 1 << len(masks) for col in out)
-    for i in range(width):
-        for j, mask in enumerate(masks):
-            assert (out[i] >> j) & 1 == (mask >> i) & 1
+    assert all(0 <= col < 1 << rows for col in out)
+    assert out == transpose_loop(masks, width)
+    for i in range(min(width, 64)):  # the oracle too, entry by entry, on one corner
+        for j in range(min(rows, 64)):
+            assert (out[i] >> j) & 1 == (masks[j] >> i) & 1
+
+
+def test_transpose_memory_stays_near_the_matrix():
+    # a dense 2048 x 2048 lower triangle: the tiles keep the peak within four
+    # copies of the n^2/8-byte matrix, where one int for the whole matrix
+    # needs masks of n^2 bits
+    import tracemalloc
+
+    n = 2048
+    masks = [(2 << j) - 1 for j in range(n)]
+    tracemalloc.start()
+    try:
+        out = _transpose(masks, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * n // 8 + 2**20
+    assert out == [(1 << n) - (1 << i) for i in range(n)]
 
 
 def test_g_from_aseq():
