@@ -68,9 +68,11 @@ SCANS = [
     "scan 2 -k 5 --jobs 1",  # the benchmark's exhaustive-k5 workload
 ]
 
-# the block shape whose first zero is the order's trailing free slot
+# the block shape whose first zero is the order's trailing free slot; then
+# the Catalan power graphs up to the largest order the default budget admits
 VERIFY = [
     f"verify diameter-drop --aseq {'1' * 30} --k 5",
+    *(f"verify catalan-diameters --kmax {k}" for k in (10, 11, 12)),
 ]
 
 # every format at the orders around the byte padding of a row, and each
