@@ -270,8 +270,19 @@ def verify_fractal(
 
 
 def check_extremal_pairs(G: Graph, k: int) -> Optional[dict]:
-    """The diameter-k pairs of an order-2^k graph must be (i, 2^k), i <= 2^(k-1)."""
+    """The diameter-k pairs of an order-2^k graph must be (i, 2^k), i <= 2^(k-1).
+
+    A certificate settles it when (a) the sweep from vertex n reaches every
+    vertex in exactly k levels past its own, the last being 1..n/2, and
+    (b) every two of the other vertices are less than k apart.  Only when
+    it fails are all diameter pairs found and compared, so a witness is
+    always theirs."""
     n = G.n
+    full = (1 << n) - 1
+    levels, seen = G._sweep(n - 1)
+    if (seen == full and len(levels) == k + 1 and levels[k] == (1 << n // 2) - 1
+            and G._ifub(full >> 1)[0] < k):
+        return None
     diam, pairs = G.diameter_pairs()
     if diam != k:
         return {"kind": "diameter", "n": n, "got": diam, "want": k}

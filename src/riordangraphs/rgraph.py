@@ -168,31 +168,35 @@ class Graph:
         levels, seen = self._sweep(self._check_vertex(v))
         return len(levels) - 1 if seen == (1 << self.n) - 1 else None
 
-    def _ifub(self) -> tuple[int, list[int]]:
+    def _ifub(self, targets: Optional[int] = None) -> tuple[int, list[int]]:
         """Exact diameter by iFUB (Crescenzi, Grossi, Habib, Lanzi, Marino,
         TCS 2013), with the BFS levels of its start vertex u, a vertex of
-        maximum degree.
+        maximum degree.  Given a vertex mask `targets`, the largest distance
+        between two of its vertices instead (0 for fewer than two).
 
-        The sweep from vertex 1 decides connectivity and names the witness.
-        Then vertices are swept from u's deepest level upwards, each once.
-        Every vertex not yet swept lies within i of u when i is the level
-        next in line, so no pair of them is more than 2i apart: once the
-        largest eccentricity seen reaches 2i, it is the diameter."""
+        The sweep from u comes first.  When it misses a vertex, the sweep
+        from vertex 1 names the witness.  Then the target vertices are swept
+        from u's deepest level upwards, each once.  Every one not yet swept
+        lies within i of u when i is the level next in line, so no pair of
+        them is more than 2i apart: once the largest distance seen from a
+        swept one reaches 2i, it is the answer."""
         full = (1 << self.n) - 1
-        levels, seen = self._sweep(0)
-        if seen != full:
-            missed = full & ~seen
-            raise DisconnectedError(1, (missed & -missed).bit_length())
         u = self.rows.index(max(self.rows, key=int.bit_count))
-        best = len(levels) - 1
-        if u:
-            levels = self._sweep(u)[0]
-            best = max(best, len(levels) - 1)
-        for i in range(len(levels) - 1, 0, -1):
-            for v in _iter_bits(levels[i] & ~1):  # vertex 1 is swept already
+        levels, seen = self._sweep(u)
+        if seen != full:
+            missed = full & ~(self._sweep(0)[1] if u else seen)
+            raise DisconnectedError(1, (missed & -missed).bit_length())
+        if targets is None:
+            todo, reach = levels, lambda far: len(far) - 1
+        else:
+            todo = [level & targets for level in levels]
+            reach = lambda far: max(d for d, level in enumerate(far) if level & targets)
+        best = 0
+        for i in range(len(todo) - 1, 0, -1):
+            for v in _iter_bits(todo[i]):
                 if best >= 2 * i:
                     return best, levels
-                best = max(best, len(self._sweep(v)[0]) - 1)
+                best = max(best, reach(self._sweep(v)[0]))
         return best, levels
 
     def diameter(self) -> int:

@@ -6,7 +6,8 @@ bit-packed code paths.  The bit-packed oracles are the library's former
 kernels, kept as references: the push-only sweep for its
 direction-optimizing one, the all-sources diameter for its iFUB
 diameter (it reads a graph's `n` and `rows` and nothing else, and is
-itself checked against the dict-of-sets `diameter_oracle`), the
+itself checked against the dict-of-sets `diameter_oracle`) and, through
+the pairs it finds, for its extremal-pair certificate, the
 per-bit scatter, mirror and gather for its one bit-matrix transpose
 (they read plain masks), the per-bit text loops for its one mask-to-text
 layout, the per-entry A-sequence loops for the same layout of entry
@@ -297,6 +298,14 @@ def diameter_oracle(adj):
     return best
 
 
+def target_diameter_oracle(adj, targets):
+    """Largest BFS distance between two vertices of the label set `targets`
+    (0 for fewer than two), or None when the graph is disconnected."""
+    if diameter_oracle(adj) is None:
+        return None
+    return max((bfs_dists(adj, v)[w] for v in targets for w in targets), default=0)
+
+
 class Disconnected(Exception):
     """Raised by the all-sources oracles: `pair` = (v, w) with w the lowest
     vertex unreachable from v, the first vertex in label order that misses one."""
@@ -350,6 +359,21 @@ def all_sources_diameter_pairs(G):
 
 def all_sources_diameter(G):
     return all_sources_diameter_pairs(G)[0]
+
+
+def extremal_pairs_witness(G, k):
+    """The extremal pair claim by all-sources BFS: None when the diameter is
+    k and realized by exactly the pairs (i, n), i <= n/2, else the witness
+    the library reports for it."""
+    n = G.n
+    diam, pairs = all_sources_diameter_pairs(G)
+    if diam != k:
+        return {"kind": "diameter", "n": n, "got": diam, "want": k}
+    expected = {(i, n) for i in range(1, n // 2 + 1)}
+    if pairs != expected:
+        return {"kind": "pairs-set", "n": n,
+                "missing": sorted(expected - pairs), "extra": sorted(pairs - expected)}
+    return None
 
 
 def brute_clique(adj):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from riordangraphs import analysis, rgraph
 from riordangraphs.analysis import (
@@ -17,7 +18,7 @@ from riordangraphs.errors import LengthError, PatternError, UsageError
 from riordangraphs.riordan import ASequence, io_pattern_extend
 from riordangraphs.rgraph import Graph, build_bell_aseq, catalan_graph
 
-from oracles import io_bit_tuples, io_value_bits, random_io_bits
+from oracles import extremal_pairs_witness, io_bit_tuples, io_value_bits, random_io_bits
 
 
 def aseq_ones(length):
@@ -320,6 +321,74 @@ def test_extremal_pairs_fault_injection():
     assert (1, 8) in {tuple(p) for p in witness["missing"]}
     assert replay_witness(tampered, witness)
     assert check_extremal_pairs(catalan_graph(8), 3) is None
+
+
+@pytest.mark.parametrize(
+    "edges, missing, extra",
+    [
+        (((1, 13),), [(1, 16)], []),  # added: vertex 1 moves to distance 3 of 16
+        (((10, 13),), [], [(10, 16)]),  # dropped: vertex 10 moves to distance 4 of 16
+        # both dropped: the sweep from 16 is as in CG_16, but 8 and 14 are 4 apart
+        (((9, 11), (13, 14)), [], [(8, 14)]),
+    ],
+)
+def test_extremal_certificate_falls_back_to_the_pair_comparison(monkeypatch, edges, missing, extra):
+    G = catalan_graph(16)
+    tampered = flip(G, *edges)
+    compared = []
+    pairs = Graph.diameter_pairs
+    monkeypatch.setattr(Graph, "diameter_pairs", lambda self: compared.append(self) or pairs(self))
+    assert check_extremal_pairs(G, 4) is None and compared == []
+    witness = check_extremal_pairs(tampered, 4)
+    assert compared == [tampered]
+    assert witness == {"kind": "pairs-set", "n": 16, "missing": missing, "extra": extra}
+    assert witness == extremal_pairs_witness(tampered, 4)
+    assert replay_witness(tampered, witness)
+    assert not replay_witness(G, witness)
+
+
+@st.composite
+def graphs_with_a_last_vertex(draw):
+    """A connected graph of order 2..12 whose last vertex's row is drawn
+    apart from the rest, often within the upper half, and a k near that
+    vertex's eccentricity."""
+    n = draw(st.integers(2, 12))
+    rows = [0] * n
+
+    def link(a, b):
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+
+    for v in range(1, n - 1):  # a spanning tree of 1..n-1
+        link(v, draw(st.integers(0, v - 1)))
+    density = draw(st.sampled_from([0.2, 0.6, 0.9, 1.0]))
+    rnd = draw(st.randoms(use_true_random=False))
+    for a in range(n - 1):
+        for b in range(a + 1, n - 1):
+            if rnd.random() < density:
+                link(a, b)
+    last = draw(st.integers(1, (1 << (n - 1)) - 1))
+    if draw(st.booleans()):  # keep 1..n/2 off the last vertex's row
+        last = last >> n // 2 << n // 2 or 1 << (n - 2)
+    for b in range(n - 1):
+        if last >> b & 1:
+            link(b, n - 1)
+    G = Graph(n, rows)
+    return G, G.eccentricity(n) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_a_last_vertex())
+@example((catalan_graph(8), 3))
+@example((catalan_graph(16), 4))
+@example((flip(catalan_graph(16), (9, 11), (13, 14)), 4))
+def test_extremal_certificate_verdict_is_the_pair_comparison(drawn):
+    G, k = drawn
+    n = G.n
+    holds = G.diameter_pairs() == (k, {(i, n) for i in range(1, n // 2 + 1)})
+    witness = check_extremal_pairs(G, k)
+    assert (witness is None) == holds
+    assert witness == extremal_pairs_witness(G, k)
 
 
 # -- mixed size -----------------------------------------------------------------

@@ -33,7 +33,7 @@ from riordangraphs.rgraph import (
     reverse_formula,
 )
 
-from riordangraphs.search import counterexample_family
+from riordangraphs.search import counterexample_family, scan_conjecture2
 
 from oracles import (
     Disconnected,
@@ -56,6 +56,7 @@ from oracles import (
     random_proper_f_bits,
     random_unit_bits,
     reverse_adj_oracle,
+    target_diameter_oracle,
     triangle_mirror_rows,
 )
 
@@ -448,27 +449,38 @@ def test_diameter_pairs_against_all_sources_on_catalan():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(2, 40), st.integers(0, (1 << 39) - 1), st.integers(0, (1 << 39) - 1))
-@example(5, 1, 0b100)  # disconnected: f = z^2
-@example(40, 1, 0b10)  # the path of order 40
-def test_ifub_against_all_sources_on_pairs(n, gbits, fbits):
+@given(st.integers(2, 40), st.integers(0, (1 << 39) - 1), st.integers(0, (1 << 39) - 1),
+       st.integers(0, (1 << 40) - 1))
+@example(5, 1, 0b100, 0b10110)  # disconnected: f = z^2
+@example(40, 1, 0b10, 1 | 1 << 39)  # the path of order 40, and its two ends
+@example(12, 0b101, 0b110, (1 << 12) - 1)  # every vertex a target
+@example(9, 0b11, 0b110, 1 << 4)  # a single target
+def test_ifub_against_all_sources_on_pairs(n, gbits, fbits, targets):
     # any pair (g, f) with f(0) = 0, proper or not, so disconnected graphs
-    # come up too; these must name the oracle's witness pair
+    # come up too; these must name the oracle's witness pair, with or
+    # without a target mask
     prec = n - 1
     G = build(RiordanPair(BinarySeries(gbits, prec), BinarySeries(fbits & ~1, prec)), n)
+    targets &= (1 << n) - 1
+    adj = adj_sets(G)
+    among = target_diameter_oracle(adj, {b + 1 for b in range(n) if targets >> b & 1})
     try:
         want = all_sources_diameter_pairs(G)
     except Disconnected as err:
-        for method in (G.diameter, G.diameter_pairs):
+        assert among is None
+        for method in (G.diameter, G.diameter_pairs, G._ifub, lambda: G._ifub(targets)):
             with pytest.raises(DisconnectedError) as got:
                 method()
             assert got.value.pair == err.pair
         return
-    assert G.diameter() == want[0]
+    assert G.diameter() == G._ifub()[0] == want[0]
     assert G.diameter_pairs() == want
+    assert G._ifub(targets)[0] == among
 
 
-def test_ifub_sweeps_each_vertex_at_most_once(monkeypatch):
+@pytest.fixture
+def swept(monkeypatch):
+    """The 0-based sources of every `Graph._sweep` call, in order."""
     sources = []
     kernel = Graph._sweep
 
@@ -477,23 +489,50 @@ def test_ifub_sweeps_each_vertex_at_most_once(monkeypatch):
         return kernel(self, s)
 
     monkeypatch.setattr(Graph, "_sweep", counted)
+    return sources
+
+
+def test_ifub_sweeps_each_vertex_at_most_once(swept):
     assert catalan_graph(1024).diameter() == 10
-    assert len(sources) <= 64 and len(set(sources)) == len(sources)
+    assert len(swept) <= 64 and len(set(swept)) == len(swept)
     # a path's diameter n - 1 is far above floor(log2 n), so a pruning by
     # that claimed bound would stop short; only iFUB's own 2i bound may
     n = 40
     path = Graph(n, [(1 << (i - 1) if i else 0) | (1 << (i + 1)) for i in range(n)])
-    sources.clear()
+    swept.clear()
     assert path.diameter() == n - 1
-    assert len(set(sources)) == len(sources) < n
-    # vertex 1, swept first, sits at level 2 of the hub 3, which iFUB visits
-    rows = [0] * 6
-    for a, b in ((1, 2), (2, 3), (3, 4), (3, 5), (3, 6)):
-        rows[a - 1] |= 1 << (b - 1)
-        rows[b - 1] |= 1 << (a - 1)
-    sources.clear()
-    assert Graph(6, rows).diameter() == 3
-    assert sources == [0, 2]
+    assert len(set(swept)) == len(swept) < n
+
+    def graph(n, edges):
+        rows = [0] * n
+        for a, b in edges:
+            rows[a - 1] |= 1 << (b - 1)
+            rows[b - 1] |= 1 << (a - 1)
+        return Graph(n, rows)
+
+    # the hub 3 is swept first; vertex 1 sits at its level 2 and is swept next
+    swept.clear()
+    assert graph(6, ((1, 2), (2, 3), (3, 4), (3, 5), (3, 6))).diameter() == 3
+    assert swept == [2, 0]
+    # the hub's sweep misses 1 and 6, so vertex 1 is swept to name the witness
+    for edges, pair, sources in (
+        (((2, 3), (3, 4), (3, 5), (1, 6)), (1, 2), [2, 0]),
+        (((1, 2), (1, 3), (4, 5)), (1, 4), [0]),  # the hub is vertex 1: one sweep
+    ):
+        swept.clear()
+        with pytest.raises(DisconnectedError) as err:
+            graph(6, edges).diameter()
+        assert err.value.pair == pair
+        assert swept == sources
+
+
+def test_sweep_counts_of_the_diameter_kernel(swept):
+    # the work of the kernel as it stands: a change that sweeps more fails here
+    scan_conjecture2(4)
+    assert len(swept) == 401
+    swept.clear()
+    catalan_graph(1024).diameter()
+    assert len(swept) == 27
 
 
 def test_universal_vertices():
