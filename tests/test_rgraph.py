@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from riordangraphs.analysis import verify_catalan_diameters
 from riordangraphs.binseries import BinarySeries, from_bitstring, named_series
 from riordangraphs.errors import (
     DisconnectedError,
@@ -533,6 +534,9 @@ def test_sweep_counts_of_the_diameter_kernel(swept):
     swept.clear()
     catalan_graph(1024).diameter()
     assert len(swept) == 27
+    swept.clear()
+    assert verify_catalan_diameters(10).passed
+    assert len(swept) == 300
 
 
 def test_universal_vertices():
