@@ -10,10 +10,12 @@ the witness when failing.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from typing import Optional, Sequence
 
 from .binseries import BinarySeries
-from .errors import DEFAULT_BUDGET, IoViolationError, UsageError, _guard, _guard_exponent
+from .errors import DEFAULT_BUDGET, DisconnectedError, IoViolationError, UsageError
+from .errors import _guard, _guard_exponent
 from .riordan import ASequence, RiordanPair, require_io_pattern
 from .rgraph import DEFAULT_CLIQUE_CAP, Graph, _mixed_size, build, build_bell_aseq, catalan_graph
 
@@ -274,15 +276,15 @@ def check_extremal_pairs(G: Graph, k: int) -> Optional[dict]:
 
     A certificate settles it when (a) the sweep from vertex n reaches every
     vertex in exactly k levels past its own, the last being 1..n/2, and
-    (b) every two of the other vertices are less than k apart.  Only when
-    it fails are all diameter pairs found and compared, so a witness is
-    always theirs."""
+    (b) the graph without vertex n is connected with diameter less than k,
+    as deleting a vertex never shortens a path.  Only when it fails are all
+    diameter pairs found and compared, so a witness is always theirs."""
     n = G.n
-    full = (1 << n) - 1
     levels, seen = G._sweep(n - 1)
-    if (seen == full and len(levels) == k + 1 and levels[k] == (1 << n // 2) - 1
-            and G._ifub(full >> 1)[0] < k):
-        return None
+    if seen == (1 << n) - 1 and len(levels) == k + 1 and levels[k] == (1 << n // 2) - 1:
+        with suppress(DisconnectedError):  # some two of 1..n-1 meet only through n
+            if G.induced_prefix(n - 1).diameter() < k:
+                return None
     diam, pairs = G.diameter_pairs()
     if diam != k:
         return {"kind": "diameter", "n": n, "got": diam, "want": k}

@@ -75,9 +75,8 @@ class ASequence:
     def to_bitstring(self) -> str:
         return _bits_text(self.bits)
 
-    def series(self, precision: int | None = None) -> BinarySeries:
-        """The generating function A(z) of this prefix."""
-        precision = len(self.bits) if precision is None else precision
+    def series(self, precision: int) -> BinarySeries:
+        """The generating function A(z) of this prefix, to `precision` terms."""
         if precision > len(self.bits):
             raise LengthError(
                 f"A-sequence of length {len(self.bits)} cannot give precision {precision}"
@@ -308,7 +307,7 @@ def bell_matrix_from_aseq(a: ASequence, n: int) -> BinaryTriangle:
         raise LengthError(f"order {n} needs an A-sequence of length {n}, got {len(a)}")
     bits = a.bits[:n]
     shifts = [t for t, b in enumerate(bits) if b]
-    reversed_a = int(a.to_bitstring()[:n], 2)  # bit n-1-t = a_t
+    reversed_a = int(_bits_text(bits), 2)  # bit n-1-t = a_t
     rows = [1]
     for i, live in zip(range(1, n), islice(accumulate(bits), 1, None)):
         # Row i-1 moved up has bits 0..i, so the `live` shifts t <= i act on it.

@@ -298,14 +298,6 @@ def diameter_oracle(adj):
     return best
 
 
-def target_diameter_oracle(adj, targets):
-    """Largest BFS distance between two vertices of the label set `targets`
-    (0 for fewer than two), or None when the graph is disconnected."""
-    if diameter_oracle(adj) is None:
-        return None
-    return max((bfs_dists(adj, v)[w] for v in targets for w in targets), default=0)
-
-
 class Disconnected(Exception):
     """Raised by the all-sources oracles: `pair` = (v, w) with w the lowest
     vertex unreachable from v, the first vertex in label order that misses one."""

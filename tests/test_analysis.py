@@ -347,6 +347,21 @@ def test_extremal_certificate_falls_back_to_the_pair_comparison(monkeypatch, edg
     assert not replay_witness(G, witness)
 
 
+def test_extremal_certificate_falls_back_when_the_rest_is_disconnected(monkeypatch):
+    # vertex 12 of CG_16 hung on vertex 16 alone: the sweep from 16 passes,
+    # but the graph without 16 is disconnected, so the certificate is
+    # unsettled and the pair comparison names the witness
+    tampered = flip(catalan_graph(16), (7, 12), (11, 12), (12, 13), (12, 16))
+    compared = []
+    pairs = Graph.diameter_pairs
+    monkeypatch.setattr(Graph, "diameter_pairs", lambda self: compared.append(self) or pairs(self))
+    witness = check_extremal_pairs(tampered, 4)
+    assert compared == [tampered]
+    assert witness == {"kind": "diameter", "n": 16, "got": 5, "want": 4}
+    assert witness == extremal_pairs_witness(tampered, 4)
+    assert replay_witness(tampered, witness)
+
+
 @st.composite
 def graphs_with_a_last_vertex(draw):
     """A connected graph of order 2..12 whose last vertex's row is drawn

@@ -1,6 +1,9 @@
-"""The package's public names: each lower layer's `__all__`, re-exported."""
+"""The package's public names: each lower layer's `__all__`, re-exported;
+and the names the benchmark's tracer wraps."""
 
 import ast
+import importlib
+import importlib.util
 import inspect
 import sys
 from pathlib import Path
@@ -65,3 +68,29 @@ def test_src_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.partition(".")[0] in sys.stdlib_module_names, f"{path.name}: {name}"
+
+
+def test_benchmark_tracer_finds_and_restores_every_name():
+    # perfbench/layers.py, loaded read-only by path, wraps functions of every
+    # layer by name; a deleted or renamed one fails here, not in each traced
+    # benchmark run
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("tier1_perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    mods = [importlib.import_module(f"riordangraphs.{name}") for name in layers.MODULES]
+    owners = [riordangraphs, *mods, rgraph.Graph, riordan.ASequence, binseries.BinarySeries]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = layers.Tracer()
+    try:
+        tracer.install(riordangraphs)
+    except KeyError as err:
+        tracer.restore()
+        raise AssertionError(f"the tracer wraps {err}, which no longer exists") from None
+    patched = [(holder, name, orig, vars(holder)[name]) for holder, name, orig in tracer._undo]
+    tracer.restore()
+    assert len(patched) > 20
+    for holder, name, orig, wrapped in patched:
+        assert wrapped.__wrapped__ is orig, name
+        assert vars(holder)[name] is orig, name
+    assert [dict(vars(owner)) for owner in owners] == before

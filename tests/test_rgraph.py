@@ -25,6 +25,7 @@ from riordangraphs.riordan import (
     require_io_pattern,
     riordan_matrix,
 )
+from riordangraphs import rgraph
 from riordangraphs.rgraph import (
     Graph,
     build,
@@ -57,7 +58,6 @@ from oracles import (
     random_proper_f_bits,
     random_unit_bits,
     reverse_adj_oracle,
-    target_diameter_oracle,
     triangle_mirror_rows,
 )
 
@@ -450,33 +450,24 @@ def test_diameter_pairs_against_all_sources_on_catalan():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(2, 40), st.integers(0, (1 << 39) - 1), st.integers(0, (1 << 39) - 1),
-       st.integers(0, (1 << 40) - 1))
-@example(5, 1, 0b100, 0b10110)  # disconnected: f = z^2
-@example(40, 1, 0b10, 1 | 1 << 39)  # the path of order 40, and its two ends
-@example(12, 0b101, 0b110, (1 << 12) - 1)  # every vertex a target
-@example(9, 0b11, 0b110, 1 << 4)  # a single target
-def test_ifub_against_all_sources_on_pairs(n, gbits, fbits, targets):
+@given(st.integers(2, 40), st.integers(0, (1 << 39) - 1), st.integers(0, (1 << 39) - 1))
+@example(5, 1, 0b100)  # disconnected: f = z^2
+@example(40, 1, 0b10)  # the path of order 40
+def test_ifub_against_all_sources_on_pairs(n, gbits, fbits):
     # any pair (g, f) with f(0) = 0, proper or not, so disconnected graphs
-    # come up too; these must name the oracle's witness pair, with or
-    # without a target mask
+    # come up too; these must name the oracle's witness pair
     prec = n - 1
     G = build(RiordanPair(BinarySeries(gbits, prec), BinarySeries(fbits & ~1, prec)), n)
-    targets &= (1 << n) - 1
-    adj = adj_sets(G)
-    among = target_diameter_oracle(adj, {b + 1 for b in range(n) if targets >> b & 1})
     try:
         want = all_sources_diameter_pairs(G)
     except Disconnected as err:
-        assert among is None
-        for method in (G.diameter, G.diameter_pairs, G._ifub, lambda: G._ifub(targets)):
+        for method in (G.diameter, G.diameter_pairs, G._ifub):
             with pytest.raises(DisconnectedError) as got:
                 method()
             assert got.value.pair == err.pair
         return
     assert G.diameter() == G._ifub()[0] == want[0]
     assert G.diameter_pairs() == want
-    assert G._ifub(targets)[0] == among
 
 
 @pytest.fixture
@@ -688,7 +679,7 @@ def test_reverse_formula_rejects_non_pattern():
 
 # -- cliques and colorings ------------------------------------------------------
 
-def test_max_clique():
+def test_max_clique(monkeypatch):
     CG6 = catalan_graph(6)
     assert CG6.max_clique_size() == 4
     assert CG6.max_clique_size() == brute_clique(adj_sets(CG6))
@@ -698,7 +689,8 @@ def test_max_clique():
     assert G32.max_clique_size() == 6
     with pytest.raises(ScaleError):
         catalan_graph(65).max_clique_size()
-    assert catalan_graph(65).max_clique_size(cap=65) == 8
+    monkeypatch.setattr(rgraph, "DEFAULT_CLIQUE_CAP", 65)  # read at call time
+    assert catalan_graph(65).max_clique_size() == 8
 
 
 def test_max_clique_against_brute(rng):

@@ -3,6 +3,7 @@ import random
 from functools import reduce
 from itertools import product
 from operator import and_
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,6 +17,7 @@ from riordangraphs.errors import (
 )
 from riordangraphs.riordan import (
     ASequence,
+    BinaryTriangle,
     a_sequence,
     bell_matrix_from_aseq,
     catalan_bit,
@@ -37,6 +39,7 @@ from oracles import (
     aseq_mask_loop,
     bell_triangle_lists,
     catalan_ints,
+    column_scatter_rows,
     io_bit_tuples,
     io_pattern_extend_loop,
     is_io_pattern_loop,
@@ -268,6 +271,41 @@ def test_bell_matrix_against_list_recurrence(rng):
         for i in range(n):
             for j in range(i + 1):
                 assert tri.entry(i, j) == oracle[i][j]
+
+
+def _rows_given(make, *args):
+    """The rows a producer hands to BinaryTriangle, before its row mask."""
+    given, init = [], BinaryTriangle.__init__
+
+    def record(self, rows):
+        given.append(list(rows))
+        init(self, rows)
+
+    with patch.object(BinaryTriangle, "__init__", record):
+        make(*args)
+    return given[0]
+
+
+# each producer emits row i below 2^(i+1) by itself, so the triangle's own
+# mask cuts nothing: any pair with f(0) = 0 (g(0) = 0 and improper f
+# included, with precision to spare) and any A-sequence, sparse or dense
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 48), st.integers(0, 3), st.integers(0, 2**48 - 1),
+       st.integers(0, 2**48 - 1), st.integers(0, 3), st.integers(0, 2**32 - 1))
+@example(6, 0, 0b110, 0b1000, 0, 0)  # g(0) = 0, f = z^3
+@example(8, 2, 1, 0, 0, 0)  # f = 0: g alone in column 0
+@example(40, 0, 0b1, 0b10, 3, 1)  # the identity pair, a sparse A-sequence
+def test_triangle_rows_stay_below_the_diagonal(n, spare, gbits, fbits, depth, seed):
+    pair = RiordanPair(BinarySeries(gbits, n + spare), BinarySeries(fbits & ~1, n + spare))
+    rows = _rows_given(riordan_matrix, pair, n)
+    assert all(row < 2 << i for i, row in enumerate(rows))
+    full = (1 << n) - 1
+    assert rows == column_scatter_rows(gbits & full, fbits & ~1 & full, n)
+    tail = _random_masks(1, n - 1, depth, seed)[0]
+    bits = [1] + [tail >> t & 1 for t in range(n - 1)]
+    rows = _rows_given(bell_matrix_from_aseq, ASequence(bits), n)
+    assert all(row < 2 << i for i, row in enumerate(rows))
+    assert rows == [sum(b << j for j, b in enumerate(row)) for row in bell_triangle_lists(bits, n)]
 
 
 def _random_masks(rows, width, depth, seed):
