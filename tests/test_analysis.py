@@ -362,6 +362,18 @@ def test_extremal_certificate_falls_back_when_the_rest_is_disconnected(monkeypat
     assert replay_witness(tampered, witness)
 
 
+def test_catalan_diameters_disconnected_block_fault_injection(monkeypatch):
+    # the same fault in the verifier: CG_15 is disconnected, so its diameter
+    # cannot be measured, but CG_16's pair comparison names the fault first
+    tampered = flip(catalan_graph(16), (7, 12), (11, 12), (12, 13), (12, 16))
+    monkeypatch.setattr(analysis, "catalan_graph", lambda n: tampered)
+    report = verify_catalan_diameters(4)
+    assert report.to_line() == (
+        "catalan-diameters [k_max=4] fail checks=3 witness[got=5,kind=diameter,n=16,want=4]"
+    )
+    assert replay_witness(tampered, report.witness)
+
+
 @st.composite
 def graphs_with_a_last_vertex(draw):
     """A connected graph of order 2..12 whose last vertex's row is drawn
