@@ -10,7 +10,6 @@ the witness when failing.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from typing import Optional, Sequence
 
 from .binseries import BinarySeries
@@ -63,10 +62,6 @@ class VerificationReport:
             w = ",".join(f"{k}={v}" for k, v in sorted(self.witness.items()))
             out += f" witness[{w}]"
         return out
-
-
-def _ceil_log2(n: int) -> int:
-    return (n - 1).bit_length()
 
 
 def _floor_log2(n: int) -> int:
@@ -142,7 +137,7 @@ def check_structural_order(G: Graph) -> Optional[dict]:
     refined bound diam <= floor(log2(n - 2^k)) + 1 for 2^k + 1 < n < 2^(k+1).
     """
     n = G.n
-    colors_wanted = _ceil_log2(n) + 1
+    colors_wanted = (n - 1).bit_length() + 1  # ceil(log2 n) + 1
 
     # (i) universal vertex 2^k + 1
     if n >= 2:
@@ -213,27 +208,26 @@ def _first_diff(left: tuple, right: tuple) -> Optional[tuple[int, int, int, int]
 
 
 def check_fractal_window(G: Graph, s: int, alpha: int) -> Optional[dict]:
-    """Compare the two leading blocks with their shifted copies at offset
-    alpha * 2^s (labels order-preserving); return a witness or None."""
-    step = 1 << s
-    lo = alpha * step + 1
-    for size in (step + 1, step):
-        lead = G.induced_prefix(size)
-        window = G.induced(list(range(lo, lo + size)))
-        diff = _first_diff(lead.rows, window.rows)
-        if diff is not None:
-            i, j, lead_bit, window_bit = diff
-            return {
-                "kind": "window-entry",
-                "s": s,
-                "alpha": alpha,
-                "size": size,
-                "i": i,
-                "j": j,
-                "lead": lead_bit,
-                "window": window_bit,
-            }
-    return None
+    """Compare the leading (2^s + 1)-block, and so the 2^s-block it leads, with
+    its shifted copy at offset alpha * 2^s (labels order-preserving); return a witness or None."""
+    size = (1 << s) + 1
+    lo = alpha * (size - 1) + 1
+    lead = G.induced_prefix(size)
+    window = G.induced(list(range(lo, lo + size)))
+    diff = _first_diff(lead.rows, window.rows)
+    if diff is None:
+        return None
+    i, j, lead_bit, window_bit = diff
+    return {
+        "kind": "window-entry",
+        "s": s,
+        "alpha": alpha,
+        "size": size,
+        "i": i,
+        "j": j,
+        "lead": lead_bit,
+        "window": window_bit,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +265,20 @@ def verify_fractal(
     return report
 
 
-def check_extremal_pairs(G: Graph, k: int) -> Optional[dict]:
+def check_extremal_pairs(G: Graph, k: int, below: Optional[int]) -> Optional[dict]:
     """The diameter-k pairs of an order-2^k graph must be (i, 2^k), i <= 2^(k-1).
 
     A certificate settles it when (a) the sweep from vertex n reaches every
     vertex in exactly k levels past its own, the last being 1..n/2, and
-    (b) the graph without vertex n is connected with diameter less than k,
-    as deleting a vertex never shortens a path.  Only when it fails are all
-    diameter pairs found and compared, so a witness is always theirs."""
+    (b) `below`, the diameter of the graph without vertex n (None when that
+    is disconnected), is less than k, as deleting a vertex never shortens a
+    path.  Only when it fails are all diameter pairs found and compared, so
+    a witness is always theirs."""
     n = G.n
-    levels, seen = G._sweep(n - 1)
-    if seen == (1 << n) - 1 and len(levels) == k + 1 and levels[k] == (1 << n // 2) - 1:
-        with suppress(DisconnectedError):  # some two of 1..n-1 meet only through n
-            if G.induced_prefix(n - 1).diameter() < k:
-                return None
+    if below is not None and below < k:
+        levels, seen = G._sweep(n - 1)
+        if seen == (1 << n) - 1 and len(levels) == k + 1 and levels[k] == (1 << n // 2) - 1:
+            return None
     diam, pairs = G.diameter_pairs()
     if diam != k:
         return {"kind": "diameter", "n": n, "got": diam, "want": k}
@@ -310,27 +304,33 @@ def verify_catalan_diameters(k_max: int) -> VerificationReport:
     """
     orders = claim_order("catalan-diameters", k_max=k_max)
     report = VerificationReport("catalan-diameters", {"k_max": k_max})
-    largest = catalan_graph(orders[-1])  # each CG_n is its leading block
+    size = orders[-1]  # each CG_n, and each graph of a pair, is its leading block
+    largest = catalan_graph(size)
+    power, near = (build(RiordanPair(BinarySeries(g, size), BinarySeries(0b110, size)), size)
+                   for g in (0b1, 0b11))
     for below, n in zip(orders[::2], orders[1::2]):
         k = n.bit_length() - 1
         CG = largest.induced_prefix(n)
-        witness = check_extremal_pairs(CG, k)
-        if witness is not None:
-            return report.fail(witness)
-
         low = largest.induced_prefix(below)
-        got = low.diameter()
+        try:
+            got = low.diameter()
+        except DisconnectedError as error:
+            got, disconnected = None, error
+        witness = check_extremal_pairs(CG, k, got)
+        if witness is not None:  # a fault of CG_n is named before CG_{n-1} is refused
+            return report.fail(witness)
+        if got is None:
+            raise disconnected
         if got != k - 1:
             return report.fail(
                 {"kind": "diameter", "n": below, "got": got, "want": k - 1}
             )
 
         rev = CG.reverse_direct()
-        for tag, got, g in (
-            ("reversed-power-pair", rev, 0b1),
-            ("reversed-near-power-pair", low.reverse_direct(), 0b11),
+        for tag, got, form in (
+            ("reversed-power-pair", rev, power.induced_prefix(n)),
+            ("reversed-near-power-pair", low.reverse_direct(), near.induced_prefix(below)),
         ):
-            form = build(RiordanPair(BinarySeries(g, got.n), BinarySeries(0b110, got.n)), got.n)
             if got.rows != form.rows:
                 return report.fail(_first_entry_diff(tag, got.n, got, form))
 

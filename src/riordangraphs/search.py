@@ -47,10 +47,10 @@ __all__ = [
 
 EXHAUSTIVE_MAX_K = 5  # scan 2 enumerates every pattern up to k = 5, samples beyond
 # Priced BFS vertex visits each pool process needs to pay for itself.  CLI
-# medians of 7 on a 2-vCPU Xeon, one process against two: `scan 2 -k 6
-# --sample 256`, priced at exactly 2^20, stays in one process (0.28 s);
-# `--sample 1024` takes 0.67 against 0.51 s (1.32x), `-k 5` 5.83 against
-# 4.42 s (1.32x).
+# medians of alternated pairs on a 2-vCPU Xeon, one process against two, the
+# pool forced on below this: `scan 2 -k 6 --sample 256` 0.14 against 0.15 s,
+# `--sample 384` 0.90-1.07x, `--sample 512` (2^20 visits a process) 1.03x,
+# `--sample 1024` 0.33 against 0.28 s (1.15x), `-k 5` 3.14 against 2.11 s (1.48x).
 POOL_MIN_VISITS = 2**20
 
 WITHIN = "within-bounds"

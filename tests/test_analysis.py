@@ -14,11 +14,17 @@ from riordangraphs.analysis import (
     verify_monotonicity,
     verify_structural,
 )
-from riordangraphs.errors import LengthError, PatternError, UsageError
+from riordangraphs.errors import DisconnectedError, LengthError, PatternError, UsageError
 from riordangraphs.riordan import ASequence, io_pattern_extend
 from riordangraphs.rgraph import Graph, build_bell_aseq, catalan_graph
 
-from oracles import extremal_pairs_witness, io_bit_tuples, io_value_bits, random_io_bits
+from oracles import (
+    extremal_pairs_witness,
+    fractal_window_loop,
+    io_bit_tuples,
+    io_value_bits,
+    random_io_bits,
+)
 
 
 def aseq_ones(length):
@@ -36,6 +42,19 @@ def flip(G, *edges):
         rows[i - 1] ^= 1 << (j - 1)
         rows[j - 1] ^= 1 << (i - 1)
     return Graph(G.n, rows)
+
+
+# the edges that leave vertex 12 of CG_16 hung on vertex 16 alone
+HUNG_12 = ((7, 12), (11, 12), (12, 13), (12, 16))
+
+
+def below(G):
+    """The diameter of G without its last vertex, or None when that graph
+    is disconnected: the `below` input of `check_extremal_pairs`."""
+    try:
+        return G.induced_prefix(G.n - 1).diameter()
+    except DisconnectedError:
+        return None
 
 
 def at_order(n, method, tamper):
@@ -201,6 +220,38 @@ def test_fractal_fault_injection(monkeypatch):
     )
 
 
+@st.composite
+def graphs_near_their_windows(draw):
+    """A graph of order 3..40: random rows, symmetric or not, or an io Bell
+    graph, whose windows repeat its leading block, with a few entries
+    flipped, each in one row only when drawn so."""
+    n = draw(st.integers(3, 40))
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            rows = [r | sum((rows[j] >> i & 1) << j for j in range(n)) for i, r in enumerate(rows)]
+        return Graph(n, rows)
+    a = ASequence(io_value_bits(draw(st.integers(0, 1 << 20)), n - 1))
+    rows = list(build_bell_aseq(a, n).rows)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i] ^= 1 << j
+        if i != j and draw(st.booleans()):
+            rows[j] ^= 1 << i
+    return Graph(n, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_near_their_windows())
+@example(flip(catalan_graph(33), (9, 11)))
+def test_fractal_window_against_the_two_size_loop(G):
+    # the 2^s-blocks lead the (2^s + 1)-blocks, so comparing them as well
+    # never finds another witness, asymmetric rows included
+    for s in range(G.n.bit_length()):
+        for alpha in range(1, (G.n - 1) >> s):  # (alpha + 1) * 2^s + 1 <= n
+            assert check_fractal_window(G, s, alpha) == fractal_window_loop(G, s, alpha)
+
+
 def test_entry_witnesses_replay_from_their_fields():
     G = catalan_graph(33)
     rows = list(G.rows)
@@ -264,7 +315,7 @@ def test_catalan_diameters_extremal_fault_injection(monkeypatch):
     G = catalan_graph(8)
     tampered = flip(G, (1, 5))
     witness = {"kind": "diameter", "n": 8, "got": 4, "want": 3}
-    assert check_extremal_pairs(tampered, 3) == witness
+    assert check_extremal_pairs(tampered, 3, below(tampered)) == witness
     monkeypatch.setattr(analysis, "catalan_graph", lambda n: tampered if n == 8 else catalan_graph(n))
     assert verify_catalan_diameters(3).to_line() == (
         "catalan-diameters [k_max=3] fail checks=2 witness[got=4,kind=diameter,n=8,want=3]"
@@ -291,14 +342,15 @@ def test_catalan_diameters_below_power_fault_injection(monkeypatch):
 
 def test_catalan_diameters_max_neighbor_fault_injection(monkeypatch):
     # edge {3, 9} added to the reversed CG_16 and to the graph of its pair
-    # alike: the reversal check passes, and vertex 3's largest neighbour is
-    # 9, not 2 * 3
+    # (1, z + z^2) alike: the reversal check passes, and vertex 3's largest
+    # neighbour is 9, not 2 * 3
     monkeypatch.setattr(
         Graph, "reverse_direct", at_order(16, Graph.reverse_direct, lambda G, R: flip(R, (3, 9)))
     )
     build = analysis.build
     monkeypatch.setattr(
-        analysis, "build", lambda pair, n: flip(build(pair, n), (3, 9)) if n == 16 else build(pair, n)
+        analysis, "build",
+        lambda pair, n: flip(build(pair, n), (3, 9)) if pair.g.bits == 0b1 else build(pair, n),
     )
     report = verify_catalan_diameters(4)
     monkeypatch.undo()
@@ -316,11 +368,11 @@ def test_extremal_pairs_fault_injection():
     rows[0] |= 1 << 7  # add edge {1, 8}
     rows[7] |= 1 << 0
     tampered = Graph(8, rows)
-    witness = check_extremal_pairs(tampered, 3)
+    witness = check_extremal_pairs(tampered, 3, below(tampered))
     assert witness is not None and witness["kind"] == "pairs-set"
     assert (1, 8) in {tuple(p) for p in witness["missing"]}
     assert replay_witness(tampered, witness)
-    assert check_extremal_pairs(catalan_graph(8), 3) is None
+    assert check_extremal_pairs(catalan_graph(8), 3, below(catalan_graph(8))) is None
 
 
 @pytest.mark.parametrize(
@@ -338,8 +390,8 @@ def test_extremal_certificate_falls_back_to_the_pair_comparison(monkeypatch, edg
     compared = []
     pairs = Graph.diameter_pairs
     monkeypatch.setattr(Graph, "diameter_pairs", lambda self: compared.append(self) or pairs(self))
-    assert check_extremal_pairs(G, 4) is None and compared == []
-    witness = check_extremal_pairs(tampered, 4)
+    assert check_extremal_pairs(G, 4, below(G)) is None and compared == []
+    witness = check_extremal_pairs(tampered, 4, below(tampered))
     assert compared == [tampered]
     assert witness == {"kind": "pairs-set", "n": 16, "missing": missing, "extra": extra}
     assert witness == extremal_pairs_witness(tampered, 4)
@@ -351,11 +403,11 @@ def test_extremal_certificate_falls_back_when_the_rest_is_disconnected(monkeypat
     # vertex 12 of CG_16 hung on vertex 16 alone: the sweep from 16 passes,
     # but the graph without 16 is disconnected, so the certificate is
     # unsettled and the pair comparison names the witness
-    tampered = flip(catalan_graph(16), (7, 12), (11, 12), (12, 13), (12, 16))
+    tampered = flip(catalan_graph(16), *HUNG_12)
     compared = []
     pairs = Graph.diameter_pairs
     monkeypatch.setattr(Graph, "diameter_pairs", lambda self: compared.append(self) or pairs(self))
-    witness = check_extremal_pairs(tampered, 4)
+    witness = check_extremal_pairs(tampered, 4, below(tampered))
     assert compared == [tampered]
     assert witness == {"kind": "diameter", "n": 16, "got": 5, "want": 4}
     assert witness == extremal_pairs_witness(tampered, 4)
@@ -365,13 +417,26 @@ def test_extremal_certificate_falls_back_when_the_rest_is_disconnected(monkeypat
 def test_catalan_diameters_disconnected_block_fault_injection(monkeypatch):
     # the same fault in the verifier: CG_15 is disconnected, so its diameter
     # cannot be measured, but CG_16's pair comparison names the fault first
-    tampered = flip(catalan_graph(16), (7, 12), (11, 12), (12, 13), (12, 16))
+    tampered = flip(catalan_graph(16), *HUNG_12)
     monkeypatch.setattr(analysis, "catalan_graph", lambda n: tampered)
     report = verify_catalan_diameters(4)
     assert report.to_line() == (
         "catalan-diameters [k_max=4] fail checks=3 witness[got=5,kind=diameter,n=16,want=4]"
     )
     assert replay_witness(tampered, report.witness)
+
+
+def test_catalan_diameters_refuses_a_disconnected_block_it_cannot_fault(monkeypatch):
+    # were the pair comparison to pass CG_16, the disconnected CG_15 would be
+    # refused as it is when measured, not reported with an unmeasured diameter
+    tampered = flip(catalan_graph(16), *HUNG_12)
+    monkeypatch.setattr(analysis, "catalan_graph", lambda n: tampered)
+    monkeypatch.setattr(analysis, "check_extremal_pairs", lambda G, k, below: None)
+    with pytest.raises(DisconnectedError) as refused:
+        verify_catalan_diameters(4)
+    with pytest.raises(DisconnectedError) as measured:
+        tampered.induced_prefix(15).diameter()
+    assert refused.value.args == measured.value.args
 
 
 @st.composite
@@ -413,7 +478,7 @@ def test_extremal_certificate_verdict_is_the_pair_comparison(drawn):
     G, k = drawn
     n = G.n
     holds = G.diameter_pairs() == (k, {(i, n) for i in range(1, n // 2 + 1)})
-    witness = check_extremal_pairs(G, k)
+    witness = check_extremal_pairs(G, k, below(G))
     assert (witness is None) == holds
     assert witness == extremal_pairs_witness(G, k)
 
@@ -682,6 +747,18 @@ def test_catalan_diameters_builds_one_catalan_graph(capsys, monkeypatch):
     assert main(["verify", "catalan-diameters", "--kmax", "6"]) == 0
     assert capsys.readouterr().out == "catalan-diameters [k_max=6] pass checks=6\n"
     assert built == [64]
+
+
+@pytest.mark.parametrize("k_max", [1, 4, 10])
+def test_catalan_diameters_builds_each_pair_graph_once(monkeypatch, k_max):
+    # the graphs of (1, z + z^2) and (1 + z, z + z^2) at 2^k_max, read as leading blocks
+    built = []
+    build = analysis.build
+    monkeypatch.setattr(
+        analysis, "build", lambda pair, n: built.append((pair.g.bits, n)) or build(pair, n)
+    )
+    assert verify_catalan_diameters(k_max).passed
+    assert built == [(0b1, 1 << k_max), (0b11, 1 << k_max)]
 
 
 # -- reports --------------------------------------------------------------------------

@@ -9,9 +9,10 @@ import sys
 from pathlib import Path
 
 import riordangraphs
-from riordangraphs import binseries, errors, riordan, rgraph
+from riordangraphs import binseries, cli, errors, riordan, rgraph
 
 LAYERS = (binseries, errors, riordan, rgraph)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # the names the package exported before it re-exported the layers' lists
 EXPORTED = """
@@ -70,14 +71,23 @@ def test_src_imports_only_the_standard_library():
                 assert name.partition(".")[0] in sys.stdlib_module_names, f"{path.name}: {name}"
 
 
+def _perfbench(name):
+    """perfbench/<name>.py, loaded read-only by path."""
+    path = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"tier1_perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks up its module as it is made
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
 def test_benchmark_tracer_finds_and_restores_every_name():
-    # perfbench/layers.py, loaded read-only by path, wraps functions of every
-    # layer by name; a deleted or renamed one fails here, not in each traced
-    # benchmark run
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
-    spec = importlib.util.spec_from_file_location("tier1_perfbench_layers", path)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    # perfbench/layers.py wraps functions of every layer by name; a deleted
+    # or renamed one fails here, not in each traced benchmark run
+    layers = _perfbench("layers")
     mods = [importlib.import_module(f"riordangraphs.{name}") for name in layers.MODULES]
     owners = [riordangraphs, *mods, rgraph.Graph, riordan.ASequence, binseries.BinarySeries]
     before = [dict(vars(owner)) for owner in owners]
@@ -94,3 +104,21 @@ def test_benchmark_tracer_finds_and_restores_every_name():
         assert wrapped.__wrapped__ is orig, name
         assert vars(holder)[name] is orig, name
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_benchmark_checks_pass_the_paper_artifacts_workload(monkeypatch):
+    # the paper-artifacts workload's commands, replayed in this process and
+    # judged by the benchmark's own checks: an output the benchmark would
+    # count as incorrect fails here first
+    from test_transcript import PAPER_ARTIFACTS
+
+    # workloads.py imports checks.py by name; it is put in place of a
+    # sys.path entry, and taken out again after the test
+    monkeypatch.setitem(sys.modules, "checks", _perfbench("checks"))
+    workloads = _perfbench("workloads")
+    cmds = workloads.commands("paper-artifacts", workloads.Oracle(PERFBENCH.parent), seed=0)
+    assert sorted(cmd.label for cmd in cmds) == sorted(PAPER_ARTIFACTS)
+    assert len(cmds) == 21
+    _, results = _perfbench("layers").replay(cli, cmds)
+    problems = {cmd.label: cmd.check(*result)[1] for cmd, result in zip(cmds, results)}
+    assert {label: found for label, found in problems.items() if found} == {}

@@ -527,7 +527,10 @@ def test_sweep_counts_of_the_diameter_kernel(swept):
     assert len(swept) == 27
     swept.clear()
     assert verify_catalan_diameters(10).passed
-    assert len(swept) == 300
+    assert len(swept) == 155
+    swept.clear()
+    assert verify_catalan_diameters(12).passed
+    assert len(swept) == 334
 
 
 def test_universal_vertices():
