@@ -89,6 +89,35 @@ def test_structural_rejects_non_pattern():
         verify_structural(aseq_ones(5), 32)
 
 
+# each verifier that takes `a`: parameters in range, parameters out of
+# range, and the largest order it measures at the ones in range
+GATED = [
+    (verify_structural, {"n_max": 8}, {"n_max": 0}, 8),
+    (verify_fractal, {"s": 1, "alpha_max": 2, "n": 9}, {"s": 1, "alpha_max": 0, "n": 9}, 9),
+    (verify_mixed_size, {"k": 2, "m": 1, "s": 0}, {"k": 1, "m": 1, "s": 0}, 7),
+    (verify_monotonicity, {"k": 2, "m_max": 2}, {"k": 1, "m_max": 2}, 16),
+    (verify_diameter_drop, {"k": 4}, {"k": 3}, 16),
+]
+
+
+@pytest.mark.parametrize(
+    "verify, params, out_of_range, largest", GATED,
+    ids=["structural", "fractal", "mixed-size", "monotonicity", "diameter-drop"],
+)
+def test_verifiers_gate_a_at_their_largest_order(monkeypatch, verify, params, out_of_range, largest):
+    non_io = ASequence("101")
+    with pytest.raises(UsageError):  # the range check comes first
+        verify(a=non_io, **out_of_range)
+    with pytest.raises(PatternError):
+        verify(a=non_io, **params)
+    verify(a=aseq_ones(largest - 1), **params)
+    # one entry short for the largest order: refused before any graph is built
+    monkeypatch.setattr(analysis, "build_bell_aseq",
+                        lambda a, n: pytest.fail(f"order {n} built before the gate"))
+    with pytest.raises(LengthError, match=f"order {largest} needs"):
+        verify(a=aseq_ones(largest - 2), **params)
+
+
 def test_structural_fault_injection():
     CG8 = catalan_graph(8)
     rows = list(CG8.rows)

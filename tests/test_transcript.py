@@ -73,6 +73,9 @@ SCANS = [
 VERIFY = [
     f"verify diameter-drop --aseq {'1' * 30} --k 5",
     *(f"verify catalan-diameters --kmax {k}" for k in (10, 11, 12)),
+    # the smallest orders that structural and fractal admit
+    "verify structural --aseq 1100000000 --nmax 1",
+    "verify fractal --aseq 11 --s 0 --alpha-max 1 --n 3",
 ]
 
 # every format at the orders around the byte padding of a row, and each
@@ -147,6 +150,12 @@ BAD_INPUT = [
     f"scan 1 --aseq-ones {2**63} --nmax 8 --budget {10**30}",
     # a pattern refusal names the first bad entry, not the extended sequence
     "verify monotonicity --aseq 1 --k 7 --mmax 4",
+    # each claim that measures the caller's graph refuses a non-pattern, at
+    # parameters in range
+    "verify structural --aseq 101 --nmax 4",
+    "verify mixed-size --aseq 101 --k 2 --m 1",
+    "verify monotonicity --aseq 101 --k 2 --mmax 1",
+    "verify diameter-drop --aseq 101 --k 4",
     "scan 1 --aseq 1010 --nmax 8 --jobs 1",
     # a short --alen gets the length gate's refusal, as a short sequence does
     "scan 1 --alen 5 --nmax 10 --jobs 1",
