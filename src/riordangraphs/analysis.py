@@ -122,6 +122,16 @@ def claim_order(claim: str, **params) -> Sequence[int]:
     return orders
 
 
+def _open(claim: str, a: Optional[ASequence], **params) -> tuple[Sequence[int], VerificationReport]:
+    """A verifier's orders from `claim_order`, with `a` (None for a claim that
+    builds its own graphs) gated at the largest, and its report, naming `a` as aseq."""
+    orders = claim_order(claim, **params)
+    if a is not None:
+        require_io_pattern(a, max(orders))
+        params["aseq"] = a.to_bitstring()
+    return orders, VerificationReport(claim, params)
+
+
 # ---------------------------------------------------------------------------
 # per-graph checkers (seams for fault-injection tests)
 # ---------------------------------------------------------------------------
@@ -236,9 +246,7 @@ def check_fractal_window(G: Graph, s: int, alpha: int) -> Optional[dict]:
 
 def verify_structural(a: ASequence, n_max: int) -> VerificationReport:
     """Universal vertex, coloring, clique and diameter bounds for all n <= n_max."""
-    orders = claim_order("structural", n_max=n_max)
-    require_io_pattern(a, orders[-1])
-    report = VerificationReport("structural", {"aseq": a.to_bitstring(), "n_max": n_max})
+    orders, report = _open("structural", a, n_max=n_max)
     full = build_bell_aseq(a, orders[-1])
     for n in orders:
         witness = check_structural_order(full.induced_prefix(n))
@@ -252,10 +260,8 @@ def verify_fractal(
     a: ASequence, s: int, alpha_max: int, n: int
 ) -> VerificationReport:
     """Windows of width 2^s (+1) along the vertex line repeat the leading block."""
-    (n,) = claim_order("fractal", s=s, alpha_max=alpha_max, n=n)
-    require_io_pattern(a, n)
-    params = {"aseq": a.to_bitstring(), "s": s, "alpha_max": alpha_max, "n": n}
-    report = VerificationReport("fractal", params)
+    (n,), report = _open("fractal", a, s=s, alpha_max=alpha_max, n=n)
+    report.params["n"] = n
     G = build_bell_aseq(a, n)
     for alpha in range(1, alpha_max + 1):
         witness = check_fractal_window(G, s, alpha)
@@ -302,8 +308,7 @@ def verify_catalan_diameters(k_max: int) -> VerificationReport:
     (1 + z, z + z^2); and in the reversed power graph the largest
     neighbor of i is 2i for i <= 2^(k-1).
     """
-    orders = claim_order("catalan-diameters", k_max=k_max)
-    report = VerificationReport("catalan-diameters", {"k_max": k_max})
+    orders, report = _open("catalan-diameters", None, k_max=k_max)
     size = orders[-1]  # each CG_n, and each graph of a pair, is its leading block
     largest = catalan_graph(size)
     power, near = (build(RiordanPair(BinarySeries(g, size), BinarySeries(0b110, size)), size)
@@ -365,11 +370,8 @@ def verify_mixed_size(k: int, m: int, s: int, a: ASequence) -> VerificationRepor
     (diam = 2 or 3) and the two neighbor sets N(1) and N(2^k + 2^m)
     match their closed forms.
     """
-    (n,) = claim_order("mixed-size", k=k, m=m, s=s)
-    require_io_pattern(a, n)
-    report = VerificationReport(
-        "mixed-size", {"k": k, "m": m, "s": s, "n": n, "aseq": a.to_bitstring()}
-    )
+    (n,), report = _open("mixed-size", a, k=k, m=m, s=s)
+    report.params["n"] = n
     G = build_bell_aseq(a, n)
     bound = _mixed_size(k, m, s)[1]
     diam = G.diameter()
@@ -400,11 +402,7 @@ def verify_mixed_size(k: int, m: int, s: int, a: ASequence) -> VerificationRepor
 
 def verify_monotonicity(a: ASequence, k: int, m_max: int) -> VerificationReport:
     """With s = diam(G_{2^k}), doubling the order m times adds at most m."""
-    orders = claim_order("monotonicity", k=k, m_max=m_max)
-    require_io_pattern(a, orders[0])
-    report = VerificationReport(
-        "monotonicity", {"aseq": a.to_bitstring(), "k": k, "m_max": m_max}
-    )
+    orders, report = _open("monotonicity", a, k=k, m_max=m_max)
     *doublings, s = build_bell_aseq(a, orders[0]).prefix_diameters(orders)
     report.notes.append(f"diam(G_{1 << k})={s}")
     for m, diam in enumerate(reversed(doublings), 1):
@@ -426,9 +424,8 @@ def verify_diameter_drop(a: ASequence, k: int) -> VerificationReport:
     particular for the all-ones sequence itself) the verdict is
     hypothesis-not-met.
     """
-    (n,) = claim_order("diameter-drop", k=k)
-    require_io_pattern(a, n)
-    report = VerificationReport("diameter-drop", {"aseq": a.to_bitstring(), "k": k, "n": n})
+    (n,), report = _open("diameter-drop", a, k=k)
+    report.params["n"] = n
 
     ones = (a.bits[: n - 1] + (0,)).index(0)  # leading ones of a_0..a_{n-2}
 

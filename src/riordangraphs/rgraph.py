@@ -68,7 +68,7 @@ class DistanceReport(NamedTuple):
 
 
 class Graph:
-    """Undirected graph on vertices 1..n with bit-row adjacency."""
+    """Undirected graph on vertices 1..n; entry (i, j) is bit j-1 of rows[i-1]."""
 
     __slots__ = ("n", "rows")
 
@@ -225,7 +225,8 @@ class Graph:
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph; `vertices` must be strictly increasing labels.
 
-        Vertex k of the result is the k-th smallest member of `vertices`.
+        Vertex k of the result is the k-th smallest member u_k of `vertices`,
+        and its entry (k, l) is entry (u_k, u_l): rows stay rows.
         """
         vs = list(vertices)
         if not vs:
@@ -234,7 +235,7 @@ class Graph:
             raise UsageError("induced vertex set must be strictly increasing")
         idx = [self._check_vertex(v) for v in vs]
         cols = _transpose([self.rows[i] for i in idx], self.n)
-        return Graph(len(idx), [cols[i] for i in idx])
+        return Graph(len(idx), _transpose([cols[i] for i in idx], len(idx)))
 
     def induced_prefix(self, n: int) -> "Graph":
         """Induced subgraph on vertices 1..n (a leading principal block)."""
@@ -250,8 +251,7 @@ class Graph:
         definition checked on adjacency alone."""
         n = self.n
         evens = range(2, n + 1, 2)
-        even_mask = sum(1 << (v - 1) for v in evens)
-        if any(self.rows[v - 1] & even_mask for v in evens):
+        if evens and any(self.induced(evens).rows):
             return False
         odds = self.induced(range(1, n + 1, 2))
         return odds == self.induced_prefix((n + 1) // 2)

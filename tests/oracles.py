@@ -372,16 +372,16 @@ def fractal_window_loop(G, s, alpha):
     """The fractal window check as the library made it before it compared
     the (2^s + 1)-blocks only: the leading blocks of sizes 2^s + 1 and then
     2^s against their copies at offset alpha * 2^s, entry by entry in row
-    order, read from a package graph's rows as its `induced_prefix` (entry
-    (i, j) is bit j of row i) and its `induced` (bit i of row j) read them;
-    the first differing entry's witness, or None."""
+    order, read from a package graph's rows as its `induced_prefix` and its
+    `induced` read them (entry (i, j) is bit j of row i); the first
+    differing entry's witness, or None."""
     step = 1 << s
     lo = alpha * step  # 0-based first vertex of the window
     for size in (step + 1, step):
         for i in range(size):
             for j in range(size):
                 lead = (G.rows[i] >> j) & 1
-                window = (G.rows[lo + j] >> (lo + i)) & 1
+                window = (G.rows[lo + i] >> (lo + j)) & 1
                 if lead != window:
                     return {"kind": "window-entry", "s": s, "alpha": alpha, "size": size,
                             "i": i + 1, "j": j + 1, "lead": lead, "window": window}

@@ -7,6 +7,7 @@ import pytest
 
 from riordangraphs.cli import main
 from riordangraphs.golden import printed_cg6, printed_cg8_reverse, printed_counterexamples
+from riordangraphs.rgraph import Graph
 
 from oracles import (
     bell_graph_adj,
@@ -19,7 +20,9 @@ from oracles import (
     io_coloring_oracle,
     io_violation_oracle,
     is_io_pattern_loop,
+    matrix_lines_loop,
     random_io_bits,
+    reverse_adj_oracle,
     triangle_mirror_rows,
 )
 
@@ -151,6 +154,67 @@ def test_metric_g_against_oracles(capsys):
         labels = [rng.randint(0, n + 1), rng.randint(0, n + 1)] if metric == "distance" else []
         argv = ["metric", "--g", literal, "-n", str(n), metric, *map(str, labels)]
         assert run(capsys, *argv) == _metric_oracle(adj, metric, *labels), argv
+
+
+def _rows_graph(adj):
+    """A package graph holding the bit rows of the dict-of-sets graph `adj`."""
+    return Graph(len(adj), [sum(1 << (w - 1) for w in adj[v]) for v in sorted(adj)])
+
+
+def _graph_oracle(flag, value, n, reverse, fmt):
+    """(exit code, stdout) of `graph --<flag> <value> -n <n> [--reverse]
+    --format <fmt>`, recomputed from the oracles: a pair (g, zg) by per-bit
+    column scatter and triangle mirror, a Bell graph by the literal
+    A-sequence recurrence, the reverse relabelling as an explicit
+    permutation and the matrix text one bit at a time."""
+    if flag == "aseq":
+        if value[0] != "1":
+            return 2, ""
+        adj = bell_graph_adj([int(c) for c in value], n)
+    else:
+        if flag == "g":
+            g = int(value[::-1], 2)
+        elif value == "catalan":
+            g = sum((c & 1) << i for i, c in enumerate(catalan_ints(n)))
+        else:  # pascal: 1/(1-z)
+            g = (1 << n) - 1
+        rows = triangle_mirror_rows(column_scatter_rows(g, g << 1, n - 1))
+        adj = {v: {w + 1 for w in range(n) if (rows[v - 1] >> w) & 1} for v in range(1, n + 1)}
+    if reverse:
+        adj = reverse_adj_oracle(_rows_graph(adj))
+    edges = [(u, v) for u in sorted(adj) for v in sorted(adj[u]) if u < v]
+    if fmt == "matrix":
+        lines = matrix_lines_loop(_rows_graph(adj))
+    elif fmt == "table":
+        lines = [f"{v}: {' '.join(map(str, sorted(adj[v])))}" for v in sorted(adj)]
+    elif fmt == "dot":
+        lines = ["graph G {", *(f"  {v};" for v in sorted(adj)),
+                 *(f"  {u} -- {v};" for u, v in edges), "}"]
+    else:
+        lines = ["u,v", *(f"{u},{v}" for u, v in edges)]
+    return 0, "".join(line + "\n" for line in lines)
+
+
+def test_graph_lines_against_oracles(capsys):
+    # 240 seeded `graph` lines, ten for each of the 24 combinations of
+    # descriptor (--g, --aseq, --family), --reverse and format, at orders up
+    # to 64; an --aseq literal may start with 0 and is then refused
+    rng = random.Random(0x6A4F)
+    formats = ("matrix", "dot", "csv", "table")
+    for case in range(240):
+        fmt, reverse = formats[case % 4], (case >> 2) % 2 == 1
+        flag = ("g", "aseq", "family")[(case >> 3) % 3]
+        n = rng.randint(1, 64)
+        if flag == "family":
+            value = rng.choice(("catalan", "pascal"))
+        else:
+            value = "".join(rng.choice("01") for _ in range(rng.randint(1, 70)))
+            if flag == "aseq" and rng.random() < 0.9:
+                value = "1" + value[1:]
+        argv = ["graph", f"--{flag}", value, "-n", str(n), "--format", fmt]
+        code, out, err = run(capsys, *argv + ["--reverse"] * reverse)
+        assert (code, out) == _graph_oracle(flag, value, n, reverse, fmt), argv
+        assert err == "" if code == 0 else err.startswith("error: ") and err.count("\n") == 1
 
 
 class _ScanOracle:

@@ -1,5 +1,6 @@
 """The package's public names: each lower layer's `__all__`, re-exported;
-and the names the benchmark's tracer wraps."""
+the names the benchmark's tracer wraps; and the code and tests that the
+kept mutants of `tests/mutants.py` name."""
 
 import ast
 import importlib
@@ -122,3 +123,14 @@ def test_benchmark_checks_pass_the_paper_artifacts_workload(monkeypatch):
     _, results = _perfbench("layers").replay(cli, cmds)
     problems = {cmd.label: cmd.check(*result)[1] for cmd, result in zip(cmds, results)}
     assert {label: found for label, found in problems.items() if found} == {}
+
+
+def test_each_mutant_edits_one_place_and_names_existing_tests():
+    from mutants import MUTANTS, SRC
+
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS)
+    for m in MUTANTS:
+        assert (SRC / m.path).read_text().count(m.old) == 1, m.name
+        for node in m.kills:
+            path, name = node.split("::")
+            assert f"\ndef {name.split('[')[0]}(" in (SRC.parent / path).read_text(), node
